@@ -3,7 +3,6 @@ package llstar_test
 import (
 	"strings"
 	"testing"
-	"time"
 
 	"llstar"
 	"llstar/internal/bench"
@@ -113,16 +112,14 @@ func TestSetFlightRecorderAttachDetach(t *testing.T) {
 }
 
 // TestFlightDisabledOverheadGuard enforces the cost contract from
-// docs/observability.md: a parser with no flight recorder — whether
-// never attached, attached-then-detached, or given a nil recorder —
-// parses at essentially the speed of a bare parser, because all three
-// normalize to the same single nil-tracer check. The threshold is
-// forgiving (25% over min-of-3) for noisy CI; BenchmarkFlightOverhead
-// reports precise numbers.
+// docs/observability.md deterministically: a parser with no flight
+// recorder — never attached, given a nil recorder, or attached then
+// detached — runs on the nil tracer (a single nil check per
+// instrumentation site), allocates per parse exactly what a bare
+// parser does, and sends a detached recorder no events, while an
+// attached one sees exactly the events a construction-time recorder
+// does. BenchmarkFlightOverhead reports the timing.
 func TestFlightDisabledOverheadGuard(t *testing.T) {
-	if testing.Short() {
-		t.Skip("benchmarks a parse repeatedly")
-	}
 	w, err := bench.ByName("Java1.5")
 	if err != nil {
 		t.Fatal(err)
@@ -132,35 +129,45 @@ func TestFlightDisabledOverheadGuard(t *testing.T) {
 		t.Fatal(err)
 	}
 	input := w.Input(1, 120)
-	measure := func(prep func(*llstar.Parser)) time.Duration {
-		best := time.Duration(1<<63 - 1)
-		for i := 0; i < 3; i++ {
-			r := testing.Benchmark(func(b *testing.B) {
-				for j := 0; j < b.N; j++ {
-					p := g.NewParser()
-					if prep != nil {
-						prep(p)
-					}
-					if _, err := p.Parse(w.Start, input); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-			if d := time.Duration(r.NsPerOp()); d < best {
-				best = d
-			}
-		}
-		return best
+	rec := llstar.NewFlightRecorder(64)
+	seen := func() int { return rec.Len() + int(rec.Dropped()) }
+	variants := map[string]func(*llstar.Parser){
+		"bare": func(*llstar.Parser) {},
+		"nil":  func(p *llstar.Parser) { p.SetFlightRecorder(nil) },
+		"detached": func(p *llstar.Parser) {
+			p.SetFlightRecorder(rec)
+			p.SetFlightRecorder(nil)
+		},
 	}
-	off := measure(nil)
-	nilRec := measure(func(p *llstar.Parser) { p.SetFlightRecorder(nil) })
-	detached := measure(func(p *llstar.Parser) {
-		p.SetFlightRecorder(llstar.NewFlightRecorder(64))
-		p.SetFlightRecorder(nil)
-	})
-	for name, d := range map[string]time.Duration{"nil": nilRec, "detached": detached} {
-		if off > 0 && float64(d) > 1.25*float64(off) {
-			t.Errorf("%s flight recorder overhead: off=%v %s=%v (>25%%)", name, off, name, d)
+	allocs := map[string]float64{}
+	for name, prep := range variants {
+		p := g.NewParser()
+		prep(p)
+		if tr := llstar.RuntimeTracer(p); tr != nil {
+			t.Errorf("%s flight recorder: runtime tracer is %T, want nil", name, tr)
 		}
+		if !raceEnabled {
+			allocs[name] = allocsPerParse(t, p, w.Start, input)
+		}
+	}
+	if allocs["nil"] != allocs["bare"] || allocs["detached"] != allocs["bare"] {
+		t.Errorf("flight recorder allocs/op: %v", allocs)
+	}
+	if n := seen(); n != 0 {
+		t.Errorf("detached recorder received %d events", n)
+	}
+
+	p := g.NewParser()
+	p.SetFlightRecorder(rec)
+	if _, err := p.Parse(w.Start, input); err != nil {
+		t.Fatal(err)
+	}
+	attached := seen()
+	rec = llstar.NewFlightRecorder(64)
+	if _, err := g.NewParser(llstar.WithFlightRecorder(rec)).Parse(w.Start, input); err != nil {
+		t.Fatal(err)
+	}
+	if attached == 0 || seen() != attached {
+		t.Errorf("events: attached recorder %d, construction-time recorder %d", attached, seen())
 	}
 }

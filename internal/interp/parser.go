@@ -118,6 +118,9 @@ type Parser struct {
 	tr   obs.Tracer
 	base obs.Tracer
 	mx   *obs.Metrics
+	// run is the parse-local metrics record (nil when mx is), merged
+	// into mx once per parse.
+	run *runMetrics
 	// cov is this parser's private coverage recorder (nil when coverage
 	// is off), flushed into Options.Coverage once per parse.
 	cov *cover.Recorder
@@ -126,9 +129,9 @@ type Parser struct {
 	// measureK enables the lookahead watermark bookkeeping in predict;
 	// set when any of stats, tracer, or metrics needs depth data.
 	measureK bool
-	// throttle caches each decision's static class name ("fixed",
-	// "cyclic", "backtrack") for event labeling; nil unless tr or mx.
-	throttle []string
+	// class caches each decision's static class (its throttle label:
+	// "fixed", "cyclic", "backtrack"); nil unless tr or mx.
+	class []core.Class
 }
 
 // New returns a parser for an analyzed grammar.
@@ -148,23 +151,26 @@ func New(res *core.Result, opts Options) *Parser {
 	p.base = obs.Tee(opts.Tracer, opts.Flight)
 	p.tr = p.base
 	p.mx = opts.Metrics
+	if p.mx != nil {
+		n := len(res.DFAs)
+		p.run = &runMetrics{depth: make([]depthHist, n), h: metricHandles{decDepth: make([]*obs.Histogram, n)}}
+	}
 	p.lsn = opts.Listener
 	if opts.Coverage != nil {
 		p.cov = opts.Coverage.NewRecorder()
 	}
 	p.measureK = p.stats != nil || p.tr != nil || p.mx != nil || p.cov != nil
 	if p.tr != nil || p.mx != nil {
-		p.buildThrottle()
+		p.buildClass()
 	}
 	return p
 }
 
-// buildThrottle caches each decision's static class name for event
-// labeling.
-func (p *Parser) buildThrottle() {
-	p.throttle = make([]string, len(p.res.DFAs))
+// buildClass caches each decision's static class for event labeling.
+func (p *Parser) buildClass() {
+	p.class = make([]core.Class, len(p.res.DFAs))
 	for _, di := range p.res.Decisions {
-		p.throttle[di.Decision.ID] = di.Class.String()
+		p.class[di.Decision.ID] = di.Class
 	}
 }
 
@@ -177,11 +183,16 @@ func (p *Parser) buildThrottle() {
 // mid-parse.
 func (p *Parser) AttachTracer(aux obs.Tracer) {
 	p.tr = obs.Tee(p.base, aux)
-	if p.tr != nil && p.throttle == nil {
-		p.buildThrottle()
+	if p.tr != nil && p.class == nil {
+		p.buildClass()
 	}
 	p.measureK = p.stats != nil || p.tr != nil || p.mx != nil || p.cov != nil
 }
+
+// Tracer returns the runtime tracer after normalization: nil when
+// neither a tracer nor a flight sink is active, so every emission site
+// costs one nil check.
+func (p *Parser) Tracer() obs.Tracer { return p.tr }
 
 // Stats returns the profile of the most recent parse (nil unless
 // CollectStats was set; reset at the start of each parse).
@@ -212,8 +223,8 @@ func (p *Parser) report(se *runtime.SyntaxError) error {
 			Decision: -1, Rule: se.Rule, Detail: se.Msg, N: int64(se.Offending.Index),
 		})
 	}
-	if p.mx != nil {
-		p.mx.Counter("llstar_syntax_errors_total").Inc()
+	if p.run != nil {
+		p.run.n.syntaxErrs++
 	}
 	if p.opts.ErrorListener != nil {
 		p.opts.ErrorListener(se)
@@ -249,6 +260,7 @@ func (p *Parser) ParseTokens(startRule string, stream *runtime.TokenStream) (*No
 	if idx < 0 {
 		return nil, fmt.Errorf("interp: no parser rule %s", startRule)
 	}
+	defer p.flushRun()
 	p.stream = stream
 	p.memo = nil
 	if p.memoEnabled() {
@@ -296,8 +308,8 @@ func (p *Parser) ParseTokens(startRule string, stream *runtime.TokenStream) (*No
 					Decision: -1, Rule: se.Rule, Detail: se.Msg, N: int64(se.Offending.Index),
 				})
 			}
-			if p.mx != nil {
-				p.mx.Counter("llstar_syntax_errors_total").Inc()
+			if p.run != nil {
+				p.run.n.syntaxErrs++
 			}
 		}
 	}
@@ -308,18 +320,8 @@ func (p *Parser) ParseTokens(startRule string, stream *runtime.TokenStream) (*No
 			Rule: startRule, OK: err == nil, N: int64(stream.Size()),
 		})
 	}
-	if p.mx != nil {
-		p.mx.Counter("llstar_parses_total").Inc()
-		if err != nil {
-			p.mx.Counter("llstar_parse_errors_total").Inc()
-		}
-		p.mx.Counter("llstar_tokens_total").Add(int64(stream.Size()))
-		if p.memo != nil {
-			p.mx.Counter("llstar_memo_hits_total").Add(int64(p.memo.Hits()))
-			p.mx.Counter("llstar_memo_misses_total").Add(int64(p.memo.Misses()))
-			p.mx.Counter("llstar_memo_stores_total").Add(int64(p.memo.Stores()))
-			p.mx.Gauge("llstar_memo_entries").Set(int64(p.memo.Entries()))
-		}
+	if p.run != nil {
+		p.flushParse(stream.Size(), err != nil)
 	}
 	if p.cov != nil {
 		p.cov.EndParse(int64(stream.Size()), err != nil)
@@ -358,6 +360,7 @@ func (p *Parser) ParseFragment(startRule string, stream *runtime.TokenStream, me
 	if idx < 0 {
 		return nil, 0, fmt.Errorf("interp: no parser rule %s", startRule)
 	}
+	defer p.flushRun()
 	p.stream = stream
 	p.memo = memo
 	p.spec = 0

@@ -2,7 +2,6 @@ package interp
 
 import (
 	"fmt"
-	"strconv"
 	"time"
 
 	"llstar/internal/atn"
@@ -68,16 +67,14 @@ func (p *Parser) predict(dec *atn.Decision, fr *frame) (int, error) {
 				Name: "predict", Cat: obs.PhaseRuntime, Ph: obs.PhSpan,
 				TS: predT0, Dur: p.tr.Now() - predT0,
 				Decision: dec.ID, Rule: fr.rule.Name, Alt: alt,
-				K: k, Depth: p.spec, Throttle: p.throttle[dec.ID],
+				K: k, Depth: p.spec, Throttle: p.class[dec.ID].String(),
 				Backtracked: backtracked, OK: err == nil,
 			})
 		}
-		if p.mx != nil {
-			p.mx.Counter(obs.Label("llstar_predict_events_total", "throttle", p.throttle[dec.ID])).Inc()
-			p.mx.Histogram("llstar_lookahead_depth").Observe(int64(k))
-			p.mx.Histogram(obs.Label("llstar_lookahead_depth", "decision", strconv.Itoa(dec.ID))).Observe(int64(k))
+		if p.run != nil {
+			p.run.depth[dec.ID].observe(k)
 			if backtracked {
-				p.mx.Counter("llstar_predict_backtrack_total").Inc()
+				p.run.n.backtracks++
 			}
 		}
 	}
@@ -215,8 +212,8 @@ func (p *Parser) specAlt(dec *atn.Decision, alt int, fr *frame) bool {
 			K: consumed, Depth: p.spec + 1, OK: err == nil,
 		})
 	}
-	if p.mx != nil {
-		p.recordSpeculation(consumed, err == nil)
+	if p.run != nil {
+		p.run.speculated(consumed, err == nil)
 	}
 	return err == nil
 }
@@ -247,23 +244,9 @@ func (p *Parser) specSynPred(id int, dec *atn.Decision, fr *frame) bool {
 			K: consumed, Depth: p.spec + 1, OK: err == nil,
 		})
 	}
-	if p.mx != nil {
-		p.mx.Counter(obs.Label("llstar_synpred_evals_total", "result", specResult(err == nil))).Inc()
-		p.recordSpeculation(consumed, err == nil)
+	if p.run != nil {
+		p.run.n.synpreds[b2i(err == nil)]++
+		p.run.speculated(consumed, err == nil)
 	}
 	return err == nil
-}
-
-// recordSpeculation updates the speculation counters and depth
-// histogram (tokens consumed before rewinding).
-func (p *Parser) recordSpeculation(consumed int, ok bool) {
-	p.mx.Counter(obs.Label("llstar_speculations_total", "result", specResult(ok))).Inc()
-	p.mx.Histogram("llstar_speculation_depth").Observe(int64(consumed))
-}
-
-func specResult(ok bool) string {
-	if ok {
-		return "match"
-	}
-	return "fail"
 }

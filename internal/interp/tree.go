@@ -17,21 +17,31 @@ type Node struct {
 
 // String renders the tree as an s-expression: (rule child ...).
 func (n *Node) String() string {
-	if n == nil {
-		return "nil"
-	}
-	if n.Token != nil {
+	if n != nil && n.Token != nil {
 		return n.Token.Text
 	}
 	var b strings.Builder
-	b.WriteByte('(')
-	b.WriteString(n.Rule)
-	for _, c := range n.Children {
-		b.WriteByte(' ')
-		b.WriteString(c.String())
-	}
-	b.WriteByte(')')
+	n.render(&b)
 	return b.String()
+}
+
+// render writes n's s-expression into b in one pass, so each byte of
+// output is written once however deep the tree is.
+func (n *Node) render(b *strings.Builder) {
+	switch {
+	case n == nil:
+		b.WriteString("nil")
+	case n.Token != nil:
+		b.WriteString(n.Token.Text)
+	default:
+		b.WriteByte('(')
+		b.WriteString(n.Rule)
+		for _, c := range n.Children {
+			b.WriteByte(' ')
+			c.render(b)
+		}
+		b.WriteByte(')')
+	}
 }
 
 // Leaves returns the tree's tokens in order.

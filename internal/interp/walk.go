@@ -152,8 +152,8 @@ func (p *Parser) noteResync(dec *atn.Decision, fr *frame, deleted int, ok bool) 
 			Decision: dec.ID, Rule: fr.rule.Name, OK: ok, N: int64(deleted),
 		})
 	}
-	if p.mx != nil {
-		p.mx.Counter("llstar_error_resyncs_total").Inc()
+	if p.run != nil {
+		p.run.n.resyncs++
 	}
 	if p.cov != nil {
 		p.cov.Resync(dec.ID, deleted)
@@ -216,15 +216,15 @@ func (p *Parser) evalSemPred(text string, fr *frame) (bool, error) {
 			OK: ok, Detail: detail,
 		})
 	}
-	if p.mx != nil {
-		result := "true"
+	if p.run != nil {
 		switch {
 		case err != nil:
-			result = "error"
+			p.run.n.sempreds[2]++
 		case !ok:
-			result = "false"
+			p.run.n.sempreds[1]++
+		default:
+			p.run.n.sempreds[0]++
 		}
-		p.mx.Counter(obs.Label("llstar_sempred_evals_total", "result", result)).Inc()
 	}
 	return ok, err
 }

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -38,21 +39,28 @@ func NewMetrics() *Metrics {
 
 // Label renders a metric name with a label set, preserving pair order:
 // Label("x_total", "a", "1", "b", "2") == `x_total{a="1",b="2"}`.
+// Values are quoted as Go string literals (strconv.Quote).
 func Label(name string, kv ...string) string {
 	if len(kv) == 0 {
 		return name
 	}
-	var b strings.Builder
-	b.WriteString(name)
-	b.WriteByte('{')
+	n := len(name) + 2
+	for _, s := range kv {
+		n += len(s) + 4 // '=' or ',', two quotes, and one escape's slack
+	}
+	b := make([]byte, 0, n)
+	b = append(b, name...)
+	b = append(b, '{')
 	for i := 0; i+1 < len(kv); i += 2 {
 		if i > 0 {
-			b.WriteByte(',')
+			b = append(b, ',')
 		}
-		fmt.Fprintf(&b, "%s=%q", kv[i], kv[i+1])
+		b = append(b, kv[i]...)
+		b = append(b, '=')
+		b = strconv.AppendQuote(b, kv[i+1])
 	}
-	b.WriteByte('}')
-	return b.String()
+	b = append(b, '}')
+	return string(b)
 }
 
 // splitName separates a rendered metric name into its family and label
@@ -115,12 +123,36 @@ func (h *Histogram) Observe(v int64) {
 	h.counts[i].Add(1)
 	h.sum.Add(v)
 	h.n.Add(1)
+	h.raiseMax(v)
+}
+
+// raiseMax lifts the recorded maximum to v if v is larger.
+func (h *Histogram) raiseMax(v int64) {
 	for {
 		m := h.max.Load()
 		if v <= m || h.max.CompareAndSwap(m, v) {
 			return
 		}
 	}
+}
+
+// Merge adds a batch of n observations recorded elsewhere, e.g. in a
+// parse-local tally: counts[i] is the number that fell in bucket i of
+// the histogram's bounds (len(bounds)+1 entries, +Inf last), sum their
+// total and max the largest. The result equals observing them one by
+// one.
+func (h *Histogram) Merge(counts []int64, sum, n, max int64) {
+	if len(counts) != len(h.counts) {
+		panic(fmt.Sprintf("obs: merging %d bucket counts into a histogram with %d buckets", len(counts), len(h.counts)))
+	}
+	for i, c := range counts {
+		if c != 0 {
+			h.counts[i].Add(c)
+		}
+	}
+	h.sum.Add(sum)
+	h.n.Add(n)
+	h.raiseMax(max)
 }
 
 // Count returns the number of observations.

@@ -3,6 +3,7 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
@@ -22,6 +23,52 @@ func TestLabel(t *testing.T) {
 	f, l = splitName("plain")
 	if f != "plain" || l != "" {
 		t.Errorf("splitName plain: %q %q", f, l)
+	}
+}
+
+// TestLabelMatchesFmtQuote: Label renders values exactly as the %q
+// verb did before it dropped fmt, for every class of byte a value can
+// carry.
+func TestLabelMatchesFmtQuote(t *testing.T) {
+	for _, v := range []string{
+		"", "fixed", `say "hi"`, `back\slash`, `\"`, "tab\there", "nl\n", "\x00\x07\x1b\x7f",
+		"naïve", "日本語", "emoji 🙂", "\u2028", "bad\xffutf8", "\xc3", "}{,=",
+	} {
+		want := fmt.Sprintf("x_total{k=%q,k2=%q}", v, v+"!")
+		if got := Label("x_total", "k", v, "k2", v+"!"); got != want {
+			t.Errorf("Label(%q) = %s, want %s", v, got, want)
+		}
+	}
+}
+
+// TestHistogramMerge: merging a batch equals observing its values one
+// by one, including the running max.
+func TestHistogramMerge(t *testing.T) {
+	vals := []int64{0, 1, 2, 3, 5, 9, 17, 64, 200, 129, 4}
+	one, batch := newHistogram(nil), newHistogram(nil)
+	counts := make([]int64, len(DefaultBuckets)+1)
+	var sum, hi int64
+	for _, v := range vals {
+		one.Observe(v)
+		i := 0
+		for i < len(DefaultBuckets) && v > DefaultBuckets[i] {
+			i++
+		}
+		counts[i]++
+		sum += v
+		hi = max(hi, v)
+	}
+	batch.Observe(7)
+	one.Observe(7)
+	batch.Merge(counts, sum, int64(len(vals)), hi)
+	if one.Count() != batch.Count() || one.Sum() != batch.Sum() || one.Max() != batch.Max() {
+		t.Fatalf("count/sum/max: observed %d/%d/%d, merged %d/%d/%d",
+			one.Count(), one.Sum(), one.Max(), batch.Count(), batch.Sum(), batch.Max())
+	}
+	for i := range one.counts {
+		if one.counts[i].Load() != batch.counts[i].Load() {
+			t.Errorf("bucket %d: observed %d, merged %d", i, one.counts[i].Load(), batch.counts[i].Load())
+		}
 	}
 }
 

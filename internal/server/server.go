@@ -461,6 +461,10 @@ func (w *statusWriter) Write(p []byte) (int, error) {
 	return w.ResponseWriter.Write(p)
 }
 
+// Unwrap exposes the underlying writer to http.ResponseController, so
+// handlers behind the middleware can flush and enable full duplex.
+func (w *statusWriter) Unwrap() http.ResponseWriter { return w.ResponseWriter }
+
 // instrument wraps an endpoint with the shared middleware: in-flight
 // limiting (limited endpoints only), the endpoint's body cap, request
 // metrics, and a per-request trace span.

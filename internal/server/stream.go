@@ -56,22 +56,14 @@ type streamEndJSON struct {
 // in-band on the end line — the status is already 200).
 type ndjsonWriter struct {
 	enc    *json.Encoder
-	flush  http.Flusher
+	rc     *http.ResponseController
 	wrote  bool
 	failed bool // client gone; stop producing
 }
 
 func newNDJSONWriter(w http.ResponseWriter) *ndjsonWriter {
 	w.Header().Set("Content-Type", "application/x-ndjson")
-	nw := &ndjsonWriter{enc: json.NewEncoder(w)}
-	if f, ok := w.(http.Flusher); ok {
-		nw.flush = f
-	} else if sw, ok := w.(*statusWriter); ok {
-		if f, ok := sw.ResponseWriter.(http.Flusher); ok {
-			nw.flush = f
-		}
-	}
-	return nw
+	return &ndjsonWriter{enc: json.NewEncoder(w), rc: http.NewResponseController(w)}
 }
 
 func (nw *ndjsonWriter) emit(v any) {
@@ -88,8 +80,8 @@ func (nw *ndjsonWriter) emit(v any) {
 // Flush pushes buffered lines to the client (after each fed chunk, so
 // a slow producer still sees events promptly).
 func (nw *ndjsonWriter) Flush() {
-	if nw.flush != nil && nw.wrote && !nw.failed {
-		nw.flush.Flush()
+	if nw.wrote && !nw.failed {
+		_ = nw.rc.Flush() // a writer that cannot flush delivers at the end
 	}
 }
 
@@ -122,6 +114,10 @@ func (s *Server) handleParseStream(w http.ResponseWriter, r *http.Request) {
 
 	fr := s.newFlightRun(w, "parse_stream", e.Name)
 	nw := newNDJSONWriter(w)
+	// Events are flushed while the body is still being read; without
+	// full duplex, net/http closes the unread body at the first flush.
+	// HTTP/2 always interleaves, so its ErrNotSupported is harmless.
+	_ = nw.rc.EnableFullDuplex()
 	opts := []llstar.SessionOption{
 		llstar.WithEvents(func(ev llstar.StreamEvent) { nw.emit(toStreamEventJSON(e.G, ev)) }),
 		llstar.WithSessionMetrics(s.mx),
