@@ -2,6 +2,7 @@ package llstar_test
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -31,25 +32,63 @@ var semHooks = llstar.Hooks{Preds: map[string]func(*llstar.Context) bool{
 	"isType()": func(ctx *llstar.Context) bool { return ctx.Stream.LT(1).Text == "T" },
 }}
 
+// corpusRecord, passed to scrapeCorpus, turns on stats and a coverage
+// profile for each of its library parsers and logs every parse's stats.
+type corpusRecord struct {
+	log    bytes.Buffer
+	labels []string
+	covs   []*llstar.CoverageProfile
+}
+
+// opts returns the options that turn the record on for one parser
+// (none for a nil record); label names its coverage profile.
+func (r *corpusRecord) opts(label string, g *llstar.Grammar) []llstar.ParserOption {
+	if r == nil {
+		return nil
+	}
+	cov := g.NewCoverage()
+	r.labels = append(r.labels, label)
+	r.covs = append(r.covs, cov)
+	return []llstar.ParserOption{llstar.WithStats(), llstar.WithCoverage(cov)}
+}
+
+// parsed logs p's stats after a parse of input under label.
+func (r *corpusRecord) parsed(label, input string, p *llstar.Parser) {
+	if r == nil {
+		return
+	}
+	st := p.Stats()
+	fmt.Fprintf(&r.log, "%s %d bytes: %s\n", label, len(input), st)
+	for d, ds := range st.Decisions {
+		if ds.Events > 0 {
+			fmt.Fprintf(&r.log, "  d%d events=%d sumK=%d maxK=%d backtracks=%d sumBacktrackK=%d\n",
+				d, ds.Events, ds.SumK, ds.MaxK, ds.BacktrackEvents, ds.SumBacktrackK)
+		}
+	}
+}
+
 // scrapeCorpus parses a fixed corpus with metrics into reg: every
 // benchmark grammar on a valid and a truncated input through one reused
 // parser, a recovering parse, an incremental session with an edit, a
 // PEG-mode grammar with memoized speculation, and semantic predicates.
-func scrapeCorpus(t *testing.T, reg *llstar.Metrics) {
+// A non-nil rec also gives the library parsers stats and coverage.
+func scrapeCorpus(t *testing.T, reg *llstar.Metrics, rec *corpusRecord) {
 	t.Helper()
 	for i, w := range bench.Workloads {
 		g, err := w.Load()
 		if err != nil {
 			t.Fatal(err)
 		}
-		p := g.NewParser(llstar.WithTree(), llstar.WithMetrics(reg))
+		p := g.NewParser(append(rec.opts(w.Name, g), llstar.WithTree(), llstar.WithMetrics(reg))...)
 		input := w.Input(int64(7+i), 40)
 		if _, err := p.Parse(w.Start, input); err != nil {
 			t.Fatalf("%s: valid input rejected: %v", w.Name, err)
 		}
+		rec.parsed(w.Name, input, p)
 		if _, err := p.Parse(w.Start, input[:len(input)/2]); err == nil {
 			t.Fatalf("%s: truncated input accepted", w.Name)
 		}
+		rec.parsed(w.Name, input[:len(input)/2], p)
 	}
 
 	java, err := bench.ByName("Java1.5")
@@ -65,8 +104,10 @@ func scrapeCorpus(t *testing.T, reg *llstar.Metrics) {
 	for i := 5; i < len(lines); i += 9 {
 		lines[i] = ") ) " + lines[i]
 	}
-	rp := g.NewParser(llstar.WithRecovery(50), llstar.WithMetrics(reg))
-	rp.Parse(java.Start, strings.Join(lines, ""))
+	rp := g.NewParser(append(rec.opts("Java1.5/recover", g), llstar.WithRecovery(50), llstar.WithMetrics(reg))...)
+	bad := strings.Join(lines, "")
+	rp.Parse(java.Start, bad)
+	rec.parsed("Java1.5/recover", bad, rp)
 	if len(rp.Errors()) < 2 {
 		t.Fatalf("recovering parse found %d errors", len(rp.Errors()))
 	}
@@ -98,18 +139,20 @@ func scrapeCorpus(t *testing.T, reg *llstar.Metrics) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fp := fig2.NewParser(llstar.WithMetrics(reg))
+	fp := fig2.NewParser(append(rec.opts("fig2", fig2), llstar.WithMetrics(reg))...)
 	for _, in := range []string{"- - 5 !", "- 5 ;", "- - 5 ?"} {
 		fp.Parse("t", in)
+		rec.parsed("fig2", in, fp)
 	}
 
 	sem, err := llstar.Load("sem.g", semGrammar)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sp := sem.NewParser(llstar.WithHooks(semHooks), llstar.WithMetrics(reg))
+	sp := sem.NewParser(append(rec.opts("sem", sem), llstar.WithHooks(semHooks), llstar.WithMetrics(reg))...)
 	for _, in := range []string{"T x ;", "v = 3 ;", "a b ;"} {
 		sp.Parse("s", in)
+		rec.parsed("sem", in, sp)
 	}
 }
 
@@ -123,7 +166,7 @@ func scrapeCorpus(t *testing.T, reg *llstar.Metrics) {
 //	UPDATE_GOLDEN=1 go test . -run TestScrapeOracle
 func TestScrapeOracle(t *testing.T) {
 	reg := llstar.NewMetrics()
-	scrapeCorpus(t, reg)
+	scrapeCorpus(t, reg, nil)
 	var prom, js bytes.Buffer
 	if err := reg.WritePrometheus(&prom); err != nil {
 		t.Fatal(err)
@@ -153,6 +196,50 @@ func TestScrapeOracle(t *testing.T) {
 		}
 	}
 	checkGolden(t, "scrape_steps_golden.json", steps.Bytes())
+}
+
+// TestRecordOracle locks what stats and coverage record over the
+// scrape corpus: every parse's ParseStats summary and per-decision
+// counters, and each parser's coverage snapshot, report and hotspot
+// table at the end. The metrics scrape of the same run must still match
+// TestScrapeOracle's goldens, so turning stats and coverage on does not
+// perturb the metrics. Regenerate (only for an intended change to what
+// is recorded) with
+//
+//	UPDATE_GOLDEN=1 go test . -run TestRecordOracle
+func TestRecordOracle(t *testing.T) {
+	reg := llstar.NewMetrics()
+	rec := &corpusRecord{}
+	scrapeCorpus(t, reg, rec)
+	var prom, js bytes.Buffer
+	if err := reg.WritePrometheus(&prom); err != nil {
+		t.Fatal(err)
+	}
+	if err := reg.WriteJSON(&js); err != nil {
+		t.Fatal(err)
+	}
+	checkGolden(t, "scrape_golden.prom", prom.Bytes())
+	checkGolden(t, "scrape_golden.json", js.Bytes())
+	checkGolden(t, "record_stats_golden.txt", rec.log.Bytes())
+
+	var snaps, reports bytes.Buffer
+	for i, cov := range rec.covs {
+		s := cov.Snapshot()
+		b, err := json.Marshal(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fmt.Fprintf(&snaps, "# %s\n%s\n", rec.labels[i], b)
+		fmt.Fprintf(&reports, "# %s\n", rec.labels[i])
+		if err := s.WriteReport(&reports); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.WriteHotspots(&reports, 10); err != nil {
+			t.Fatal(err)
+		}
+	}
+	checkGolden(t, "record_cover_golden.json", snaps.Bytes())
+	checkGolden(t, "record_cover_golden.txt", reports.Bytes())
 }
 
 // checkGolden compares got with testdata/name (rewriting it first when
