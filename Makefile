@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race bench fuzz fmt vet check serve cover-report benchdiff generate stream-bench
+.PHONY: all build test race bench fuzz fmt vet check serve cover-report benchdiff generate stream-bench netlines
 
 all: check
 
@@ -45,6 +45,13 @@ cover-report:
 # see scripts/benchdiff).
 benchdiff:
 	scripts/benchdiff -no-timing BENCH_10.json
+
+# Non-test Go lines added, removed and net in the working tree against
+# REF, one row per directory in DIRS (default: every changed one).
+REF ?= HEAD
+DIRS ?=
+netlines:
+	scripts/netlines $(REF) $(DIRS)
 
 # Streaming sessions: per-grammar streamed throughput and window peaks,
 # the ~100MB bounded-memory demonstration, and the incremental

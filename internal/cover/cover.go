@@ -6,15 +6,21 @@
 // and DFA states does the corpus never exercise; and which decision
 // burns the speculation budget.
 //
-// The design mirrors the tracer's cost contract: with no Profile
-// installed, every instrumentation site in the interpreter is a single
-// nil check. With one installed, the parser records into a private,
-// unsynchronized Recorder and merges it into the shared Profile once
-// per parse, so pooled parsers and Grammar.ParseConcurrent accumulate
-// into one mergeable aggregate without hot-path locking.
+// Its Recorder is also the interpreter's one per-parse record: with
+// stats, metrics or coverage on, every instrumentation site writes its
+// fact there once, behind a single nil check. At parse end the
+// interpreter reads the record three ways — it fills ParseStats,
+// flushes the runtime metrics, and merges it into the shared Profile —
+// so pooled parsers and Grammar.ParseConcurrent accumulate into one
+// mergeable aggregate without hot-path locking.
 package cover
 
-import "sync"
+import (
+	"sync"
+
+	"llstar/internal/core"
+	"llstar/internal/obs"
+)
 
 // Strategy classifies how one prediction event resolved at runtime.
 type Strategy int
@@ -69,6 +75,27 @@ type Meta struct {
 	Grammar   string         `json:"grammar"`
 	Decisions []DecisionMeta `json:"decisions"`
 	Rules     []string       `json:"rules"` // parser rules, by rule index
+}
+
+// NewMeta captures the profile shape of an analyzed grammar: one slot
+// per parsing decision (with its alternative count and DFA size) and
+// per parser rule.
+func NewMeta(res *core.Result) Meta {
+	meta := Meta{Grammar: res.Grammar.Name}
+	for _, r := range res.Grammar.Rules {
+		meta.Rules = append(meta.Rules, r.Name)
+	}
+	for _, di := range res.Decisions {
+		meta.Decisions = append(meta.Decisions, DecisionMeta{
+			ID:        di.Decision.ID,
+			Rule:      di.Decision.Rule.Name,
+			Desc:      di.Decision.Desc,
+			Class:     di.Class.String(),
+			NAlts:     di.Decision.NAlts,
+			DFAStates: di.DFA.NumStates(),
+		})
+	}
+	return meta
 }
 
 // DecisionCoverage accumulates runtime counters for one decision.
@@ -177,7 +204,7 @@ func (r *RuleCoverage) add(o *RuleCoverage) {
 }
 
 // counters is the mutable half shared by Recorder (unsynchronized,
-// per-parser) and Profile (mutex-guarded aggregate).
+// per-parse) and Profile (mutex-guarded aggregate).
 type counters struct {
 	Parses      int64
 	ParseErrors int64
@@ -255,17 +282,6 @@ func NewProfile(meta Meta) *Profile {
 // Meta returns the profile's static shape.
 func (p *Profile) Meta() *Meta { return p.meta }
 
-// NewRecorder returns an unsynchronized recorder shaped like the
-// profile, for one parser's exclusive use. Flush merges and clears it.
-func (p *Profile) NewRecorder() *Recorder {
-	r := &Recorder{p: p, c: newCounters(p.meta)}
-	r.cyclic = make([]bool, len(p.meta.Decisions))
-	for i, d := range p.meta.Decisions {
-		r.cyclic[i] = d.Class == "cyclic"
-	}
-	return r
-}
-
 // Merge adds a snapshot's counters into p. Both must come from the
 // same grammar (the same Meta shape); mismatched tails are ignored.
 func (p *Profile) Merge(s *Snapshot) {
@@ -321,14 +337,61 @@ func (p *Profile) Snapshot() *Snapshot {
 	return s
 }
 
-// Recorder is the hot-path collector bound to one parser. It is NOT
-// safe for concurrent use — exactly like the parser that owns it. All
-// methods are cheap field updates; the interpreter gates every call on
-// a single nil check.
+// Buckets counts depths over obs.DefaultBuckets, the bounds of every
+// runtime histogram, with a last slot for +Inf.
+type Buckets [9]int64
+
+func (b *Buckets) observe(v int) {
+	i := 0
+	for i < len(obs.DefaultBuckets) && int64(v) > obs.DefaultBuckets[i] {
+		i++
+	}
+	b[i]++
+}
+
+// DecisionK is what only stats and metrics read about one decision's
+// lookahead: the depth sums (over all events and over backtracking
+// ones) and the depth distribution.
+type DecisionK struct {
+	SumK, SumBacktrackK int64
+	Depth               Buckets
+}
+
+// Recorder is one parser's per-parse record. It holds the coverage
+// counters plus what only stats and metrics need: per-decision
+// lookahead sums and depth buckets, and per-parse speculation depths,
+// predicate outcomes and syntax errors. It is NOT safe for concurrent
+// use — exactly like the parser that owns it. All methods are cheap
+// field updates; the interpreter gates every call on a single nil
+// check.
 type Recorder struct {
-	p      *Profile
-	c      counters
-	cyclic []bool // per decision: static class is cyclic
+	counters
+	K []DecisionK // by decision ID
+	// SpecDepth buckets the tokens each speculation consumed; SpecMax
+	// is the most any consumed.
+	SpecDepth Buckets
+	SpecMax   int64
+	// Synpreds counts syntactic-predicate speculations by result
+	// (fail, match); Sempreds semantic-predicate evaluations by outcome
+	// (true, false, error).
+	Synpreds     [2]int64
+	Sempreds     [3]int64
+	SyntaxErrors int64
+
+	class []core.Class // by decision ID, for strategy attribution
+	prof  *Profile     // nil: the record feeds only stats and metrics
+}
+
+// NewRecorder returns an empty record shaped by meta. class gives each
+// decision's static class (by decision ID); Flush merges into prof,
+// which may be nil.
+func NewRecorder(meta *Meta, class []core.Class, prof *Profile) *Recorder {
+	return &Recorder{
+		counters: newCounters(meta),
+		K:        make([]DecisionK, len(meta.Decisions)),
+		class:    class,
+		prof:     prof,
+	}
 }
 
 // Prediction records one prediction event: the lookahead depth k,
@@ -338,24 +401,25 @@ type Recorder struct {
 // decisions scan with the cyclic DFA; otherwise k ≤ 1 is LL(1) and
 // deeper is LL(k).
 func (r *Recorder) Prediction(dec, alt, k int, backtracked, failed bool) {
-	if dec < 0 || dec >= len(r.c.Decisions) {
+	if dec < 0 || dec >= len(r.Decisions) {
 		return
 	}
-	d := &r.c.Decisions[dec]
+	d, dk := &r.Decisions[dec], &r.K[dec]
 	d.Predictions++
+	dk.SumK += int64(k)
+	dk.Depth.observe(k)
 	switch {
 	case backtracked:
 		d.Strategy[StratBacktrack]++
-	case r.cyclic[dec]:
+		dk.SumBacktrackK += int64(k)
+	case r.class[dec] == core.ClassCyclic:
 		d.Strategy[StratCyclic]++
 	case k <= 1:
 		d.Strategy[StratLL1]++
 	default:
 		d.Strategy[StratLLk]++
 	}
-	if k > d.MaxK {
-		d.MaxK = k
-	}
+	d.MaxK = max(d.MaxK, k)
 	if failed {
 		d.Errors++
 		return
@@ -365,86 +429,120 @@ func (r *Recorder) Prediction(dec, alt, k int, backtracked, failed bool) {
 	}
 }
 
-// State marks a DFA state as visited during simulation.
+// State marks the DFA state a simulation starts in as visited.
 func (r *Recorder) State(dec, id int) {
-	if dec < 0 || dec >= len(r.c.Decisions) {
+	if dec < 0 || dec >= len(r.Decisions) {
 		return
 	}
-	if sv := r.c.Decisions[dec].StatesVisited; id >= 0 && id < len(sv) {
+	if sv := r.Decisions[dec].StatesVisited; id >= 0 && id < len(sv) {
 		sv[id] = true
 	}
 }
 
-// Edge counts one DFA transition taken during simulation.
-func (r *Recorder) Edge(dec int) {
-	if dec >= 0 && dec < len(r.c.Decisions) {
-		r.c.Decisions[dec].EdgesTaken++
+// Edge counts one DFA transition taken during simulation and marks
+// its target state visited.
+func (r *Recorder) Edge(dec, to int) {
+	if dec >= 0 && dec < len(r.Decisions) {
+		r.Decisions[dec].EdgesTaken++
+		r.State(dec, to)
 	}
 }
 
 // Speculation records one speculative sub-parse launched at a
-// decision: tokens consumed before the rewind, whether the speculation
-// matched, and the nesting depth it ran at.
-func (r *Recorder) Speculation(dec, consumed, depth int, ok bool) {
-	if dec < 0 || dec >= len(r.c.Decisions) {
+// decision: tokens consumed before the rewind, whether it matched, the
+// nesting depth it ran at, and whether it was a syntactic predicate
+// (otherwise an alternative).
+func (r *Recorder) Speculation(dec, consumed, depth int, ok, synpred bool) {
+	if dec < 0 || dec >= len(r.Decisions) {
 		return
 	}
-	d := &r.c.Decisions[dec]
+	d := &r.Decisions[dec]
 	d.SpecEvents++
 	d.SpecTokens += int64(consumed)
 	if !ok {
 		d.WastedSpecEvents++
 		d.WastedSpecTokens += int64(consumed)
 	}
-	if depth > d.MaxSpecDepth {
-		d.MaxSpecDepth = depth
+	d.MaxSpecDepth = max(d.MaxSpecDepth, depth)
+	r.SpecDepth.observe(consumed)
+	r.SpecMax = max(r.SpecMax, int64(consumed))
+	if synpred {
+		r.Synpreds[b2i(ok)]++
+	}
+}
+
+// Sempred records one semantic-predicate evaluation.
+func (r *Recorder) Sempred(ok bool, err error) {
+	switch {
+	case err != nil:
+		r.Sempreds[2]++
+	case !ok:
+		r.Sempreds[1]++
+	default:
+		r.Sempreds[0]++
 	}
 }
 
 // Resync records one panic-mode recovery at a decision.
 func (r *Recorder) Resync(dec, deleted int) {
-	if dec < 0 || dec >= len(r.c.Decisions) {
+	if dec < 0 || dec >= len(r.Decisions) {
 		return
 	}
-	d := &r.c.Decisions[dec]
+	d := &r.Decisions[dec]
 	d.Resyncs++
 	d.ResyncTokens += int64(deleted)
 }
 
 // Rule records one rule invocation.
 func (r *Recorder) Rule(idx int) {
-	if idx >= 0 && idx < len(r.c.Rules) {
-		r.c.Rules[idx].Invocations++
+	if idx >= 0 && idx < len(r.Rules) {
+		r.Rules[idx].Invocations++
 	}
 }
 
 // Memo records one packrat-cache lookup for a rule.
 func (r *Recorder) Memo(idx int, hit bool) {
-	if idx < 0 || idx >= len(r.c.Rules) {
+	if idx < 0 || idx >= len(r.Rules) {
 		return
 	}
 	if hit {
-		r.c.Rules[idx].MemoHits++
+		r.Rules[idx].MemoHits++
 	} else {
-		r.c.Rules[idx].MemoMisses++
+		r.Rules[idx].MemoMisses++
 	}
 }
 
 // EndParse records parse-level totals: tokens consumed and outcome.
+// Only a whole parse ends this way; a fragment reparse does not count
+// as one.
 func (r *Recorder) EndParse(tokens int64, failed bool) {
-	r.c.Parses++
-	r.c.Tokens += tokens
+	r.Parses++
+	r.Tokens += tokens
 	if failed {
-		r.c.ParseErrors++
+		r.ParseErrors++
 	}
 }
 
-// Flush merges the recorder into its profile and clears it. The
-// interpreter calls it once per parse, so profile-lock contention is
+// Flush merges the coverage counters into the profile (if any) and
+// clears the record, keeping its shape. The interpreter calls it once
+// per parse, after reading the record, so profile-lock contention is
 // one acquisition per parse, not per event.
 func (r *Recorder) Flush() {
-	r.p.mu.Lock()
-	r.p.c.add(&r.c)
-	r.p.mu.Unlock()
-	r.c.reset()
+	if r.prof != nil {
+		r.prof.mu.Lock()
+		r.prof.c.add(&r.counters)
+		r.prof.mu.Unlock()
+	}
+	r.counters.reset()
+	clear(r.K)
+	r.SpecDepth, r.SpecMax = Buckets{}, 0
+	r.Synpreds, r.Sempreds, r.SyntaxErrors = [2]int64{}, [3]int64{}, 0
+}
+
+// b2i indexes a fail/match pair.
+func b2i(ok bool) int {
+	if ok {
+		return 1
+	}
+	return 0
 }

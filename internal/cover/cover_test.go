@@ -3,10 +3,13 @@ package cover
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"reflect"
 	"strings"
 	"sync"
 	"testing"
+
+	"llstar/internal/core"
 )
 
 func testMeta() Meta {
@@ -21,9 +24,19 @@ func testMeta() Meta {
 	}
 }
 
+// testClass is testMeta's static decision classes.
+var testClass = []core.Class{core.ClassFixed, core.ClassCyclic, core.ClassBacktrack}
+
+// newRec returns a record over testMeta that flushes into p (nil for
+// none).
+func newRec(p *Profile) *Recorder {
+	meta := testMeta()
+	return NewRecorder(&meta, testClass, p)
+}
+
 func TestRecorderFlushSnapshot(t *testing.T) {
 	p := NewProfile(testMeta())
-	r := p.NewRecorder()
+	r := newRec(p)
 
 	r.Prediction(0, 1, 1, false, false) // LL(1)
 	r.Prediction(0, 2, 3, false, false) // LL(k)
@@ -31,19 +44,45 @@ func TestRecorderFlushSnapshot(t *testing.T) {
 	r.Prediction(2, 1, 2, true, false)  // backtracked
 	r.Prediction(2, 0, 2, true, true)   // failed
 	r.State(0, 0)
-	r.State(0, 2)
-	r.Edge(0)
-	r.Edge(0)
-	r.Speculation(2, 10, 1, false)
-	r.Speculation(2, 4, 2, true)
+	r.Edge(0, 2)
+	r.Edge(0, 2)
+	r.Speculation(2, 10, 1, false, true)
+	r.Speculation(2, 4, 2, true, false)
 	r.Resync(1, 3)
 	r.Rule(0)
 	r.Rule(0)
 	r.Rule(2)
 	r.Memo(2, true)
 	r.Memo(2, false)
+	r.Sempred(true, nil)
+	r.Sempred(false, nil)
+	r.Sempred(false, errors.New("unbound"))
+	r.SyntaxErrors++
 	r.EndParse(42, false)
+
+	// What only stats and metrics read stays in the record.
+	if k := r.K[0]; k.SumK != 4 || k.SumBacktrackK != 0 || k.Depth != (Buckets{1, 0, 1}) {
+		t.Fatalf("d0 lookahead: %+v", k)
+	}
+	if k := r.K[2]; k.SumK != 4 || k.SumBacktrackK != 4 || k.Depth != (Buckets{0, 2}) {
+		t.Fatalf("d2 lookahead: %+v", k)
+	}
+	if r.SpecDepth != (Buckets{0, 0, 1, 0, 1}) || r.SpecMax != 10 {
+		t.Fatalf("speculation depth: %v max %d", r.SpecDepth, r.SpecMax)
+	}
+	if r.Synpreds != [2]int64{1, 0} || r.Sempreds != [3]int64{1, 1, 1} || r.SyntaxErrors != 1 {
+		t.Fatalf("per-parse counts: synpreds %v sempreds %v errors %d", r.Synpreds, r.Sempreds, r.SyntaxErrors)
+	}
 	r.Flush()
+
+	// Flush cleared the record and kept its shape.
+	if r.K[2] != (DecisionK{}) || r.SpecDepth != (Buckets{}) || r.SpecMax != 0 ||
+		r.Synpreds != [2]int64{} || r.Sempreds != [3]int64{} || r.SyntaxErrors != 0 || r.Parses != 0 {
+		t.Fatalf("flush left per-parse counts: %+v", r)
+	}
+	if len(r.K) != 3 || len(r.Decisions[1].Alts) != 3 || len(r.Decisions[1].StatesVisited) != 4 {
+		t.Fatalf("flush lost the record's shape")
+	}
 
 	s := p.Snapshot()
 	if s.Parses != 1 || s.Tokens != 42 || s.ParseErrors != 0 {
@@ -83,7 +122,7 @@ func TestRecorderFlushSnapshot(t *testing.T) {
 
 func TestStrategyCountsSumToPredictions(t *testing.T) {
 	p := NewProfile(testMeta())
-	r := p.NewRecorder()
+	r := newRec(p)
 	for i := 0; i < 100; i++ {
 		r.Prediction(i%3, 1+i%2, 1+i%4, i%5 == 0, i%7 == 0)
 	}
@@ -114,14 +153,14 @@ func TestMergeEqualsSum(t *testing.T) {
 			defer wg.Done()
 			solo := NewProfile(testMeta())
 			for _, p := range []*Profile{merged, solo} {
-				r := p.NewRecorder()
+				r := newRec(p)
 				for i := 0; i < 50+w; i++ {
 					dec := (i + w) % 3
 					r.Prediction(dec, 1+i%2, 1+(i+w)%5, dec == 2, false)
 					r.State(dec, i%4)
-					r.Edge(dec)
+					r.Edge(dec, 1)
 					if dec == 2 {
-						r.Speculation(dec, i%9, 1, i%2 == 0)
+						r.Speculation(dec, i%9, 1, i%2 == 0, false)
 					}
 					r.Rule(dec)
 					r.Memo(dec, i%3 == 0)
@@ -146,9 +185,29 @@ func TestMergeEqualsSum(t *testing.T) {
 	}
 }
 
+// TestRecorderWithoutProfile: a record with no profile (stats or
+// metrics only) records the same facts, and its flush only clears it.
+func TestRecorderWithoutProfile(t *testing.T) {
+	r := newRec(nil)
+	r.Prediction(1, 2, 5, false, false)
+	r.Prediction(2, 1, 3, true, false)
+	r.Rule(0)
+	r.EndParse(9, true)
+	if d := r.Decisions[1]; d.Predictions != 1 || d.Strategy[StratCyclic] != 1 || d.MaxK != 5 {
+		t.Fatalf("d1: %+v", d)
+	}
+	if r.K[2].SumBacktrackK != 3 || r.Parses != 1 || r.ParseErrors != 1 || r.Tokens != 9 {
+		t.Fatalf("record: %+v", r)
+	}
+	r.Flush()
+	if r.Decisions[1].Predictions != 0 || r.K[2].SumBacktrackK != 0 || r.Rules[0].Invocations != 0 || r.Parses != 0 {
+		t.Fatalf("flush did not clear the record: %+v", r)
+	}
+}
+
 func TestResetClearsCountersKeepsShape(t *testing.T) {
 	p := NewProfile(testMeta())
-	r := p.NewRecorder()
+	r := newRec(p)
 	r.Prediction(0, 1, 1, false, false)
 	r.State(1, 2)
 	r.EndParse(5, true)
@@ -170,17 +229,22 @@ func TestResetClearsCountersKeepsShape(t *testing.T) {
 
 func TestOutOfRangeEventsIgnored(t *testing.T) {
 	p := NewProfile(testMeta())
-	r := p.NewRecorder()
+	r := newRec(p)
 	r.Prediction(-1, 1, 1, false, false)
 	r.Prediction(99, 1, 1, false, false)
 	r.Prediction(0, 99, 1, false, false) // alt out of range: counted, alt dropped
 	r.State(0, 99)
 	r.State(99, 0)
-	r.Edge(-5)
-	r.Speculation(42, 3, 1, false)
+	r.Edge(-5, 0)
+	r.Speculation(42, 3, 1, false, false)
 	r.Resync(-1, 2)
 	r.Rule(99)
 	r.Memo(-1, true)
+	for i, k := range r.K {
+		if k != (DecisionK{}) && i != 0 {
+			t.Fatalf("out-of-range prediction reached decision %d: %+v", i, k)
+		}
+	}
 	r.Flush()
 	s := p.Snapshot()
 	if s.Decisions[0].Predictions != 1 || s.Decisions[0].AltsCovered() != 0 {
@@ -193,12 +257,12 @@ func TestOutOfRangeEventsIgnored(t *testing.T) {
 
 func TestReportAndHotspots(t *testing.T) {
 	p := NewProfile(testMeta())
-	r := p.NewRecorder()
+	r := newRec(p)
 	r.Prediction(0, 1, 1, false, false)
 	r.State(0, 0)
 	r.Prediction(2, 1, 3, true, false)
-	r.Speculation(2, 81, 1, false)
-	r.Speculation(2, 19, 1, true)
+	r.Speculation(2, 81, 1, false, false)
+	r.Speculation(2, 19, 1, true, false)
 	r.Rule(0)
 	r.Rule(2)
 	r.EndParse(100, false)
@@ -258,7 +322,7 @@ func TestReportAndHotspots(t *testing.T) {
 
 func TestSnapshotJSONRoundTrip(t *testing.T) {
 	p := NewProfile(testMeta())
-	r := p.NewRecorder()
+	r := newRec(p)
 	r.Prediction(0, 1, 2, false, false)
 	r.EndParse(7, false)
 	r.Flush()

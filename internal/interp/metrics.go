@@ -4,33 +4,17 @@ import (
 	"strconv"
 
 	"llstar/internal/core"
+	"llstar/internal/cover"
 	"llstar/internal/obs"
+	"llstar/internal/runtime"
 )
 
-// runMetrics is the parse-local side of Options.Metrics. The
-// instrumentation sites bump its plain integers, so the prediction loop
-// does no label formatting, registry lookup or atomic add; flushRun
-// merges it into the shared registry once per parse.
-type runMetrics struct {
-	depth []depthHist // lookahead depth per decision
-	spec  depthHist   // tokens consumed per speculation
-	n     eventCounts
-	h     metricHandles
-}
-
-// eventCounts are a parse's runtime event counters. Arrays are indexed
-// by the label value they will carry: result fail/match for
-// speculations and synpreds, true/false/error for sempreds.
-type eventCounts struct {
-	backtracks, resyncs, syntaxErrs int64
-	specs, synpreds                 [2]int64
-	sempreds                        [3]int64
-}
-
-// metricHandles are the registry instruments runMetrics flushes into,
-// each resolved on its first non-empty flush so a scrape shows exactly
-// the series a parse has touched.
+// metricHandles are the registry instruments endParse flushes the
+// record into, each resolved on its first non-empty flush so a scrape
+// shows exactly the series a parse has touched, and the prediction loop
+// does no label formatting, registry lookup or atomic add.
 type metricHandles struct {
+	mx                               *obs.Metrics
 	predict                          [3]*obs.Counter // by core.Class
 	depth, specDepth                 *obs.Histogram
 	decDepth                         []*obs.Histogram
@@ -47,141 +31,143 @@ var (
 	sempredResults = [3]string{"true", "false", "error"}
 )
 
-// depthHist is a plain histogram over obs.DefaultBuckets (the bounds of
-// every runtime histogram), with a last slot for +Inf.
-type depthHist struct {
-	counts      [9]int64
-	sum, n, max int64
-}
-
-func (h *depthHist) observe(v int) {
-	i := 0
-	for i < len(obs.DefaultBuckets) && int64(v) > obs.DefaultBuckets[i] {
-		i++
-	}
-	h.counts[i]++
-	h.sum += int64(v)
-	h.n++
-	h.max = max(h.max, int64(v))
-}
-
-// flushTo merges h into dst and clears it.
-func (h *depthHist) flushTo(dst *obs.Histogram) {
-	dst.Merge(h.counts[:], h.sum, h.n, h.max)
-	*h = depthHist{}
-}
-
-// add accumulates o into h.
-func (h *depthHist) add(o *depthHist) {
-	for i, c := range o.counts {
-		h.counts[i] += c
-	}
-	h.sum += o.sum
-	h.n += o.n
-	h.max = max(h.max, o.max)
-}
-
-// counter returns *dst, resolving it from mx as the labeled name on
-// first use; the name is built only then.
-func counter(mx *obs.Metrics, dst **obs.Counter, name string, kv ...string) *obs.Counter {
+// counter returns *dst, resolving it as the labeled name on first use;
+// the name is built only then.
+func (h *metricHandles) counter(dst **obs.Counter, name string, kv ...string) *obs.Counter {
 	if *dst == nil {
-		*dst = mx.Counter(obs.Label(name, kv...))
+		*dst = h.mx.Counter(obs.Label(name, kv...))
 	}
 	return *dst
 }
 
-// histogram returns *dst, resolving it from mx on first use.
-func histogram(mx *obs.Metrics, dst **obs.Histogram, name string) *obs.Histogram {
+// histogram returns *dst, resolving it on first use.
+func (h *metricHandles) histogram(dst **obs.Histogram, name string) *obs.Histogram {
 	if *dst == nil {
-		*dst = mx.Histogram(name)
+		*dst = h.mx.Histogram(name)
 	}
 	return *dst
 }
 
-// flushRun merges the parse-local record into the registry and resets
-// it for the next parse.
-func (p *Parser) flushRun() {
-	r, mx := p.run, p.mx
+// memoCounts is a whole parse's memo-table activity.
+type memoCounts struct{ entries, hits, misses, stores int64 }
+
+// endParse reads the record three ways — into ParseStats, the runtime
+// metrics and the coverage profile — and clears it for the next parse.
+// ParseTokens and ParseFragment defer it, so it runs on every exit path.
+func (p *Parser) endParse() {
+	r := p.rec
 	if r == nil {
 		return
 	}
-	h := &r.h
-	add := func(dst **obs.Counter, n int64, name string, kv ...string) {
-		if n > 0 {
-			counter(mx, dst, name, kv...).Add(n)
+	// Memo activity is reported for whole parses only, and the record's
+	// per-rule lookups are the table's: parseRule is its only reader.
+	var memo *memoCounts
+	if r.Parses > 0 && p.memo != nil {
+		memo = &memoCounts{entries: int64(p.memo.Entries()), stores: int64(p.memo.Stores())}
+		for _, rc := range r.Rules {
+			memo.hits += rc.MemoHits
+			memo.misses += rc.MemoMisses
 		}
 	}
-	// Empty histograms and zero counts touch nothing, so no series
-	// appears before its first event.
+	if p.stats != nil {
+		p.fillStats(memo)
+	}
+	if p.mx != nil {
+		p.flushMetrics(memo)
+	}
+	r.Flush()
+}
+
+// fillStats copies the record into ParseStats.
+func (p *Parser) fillStats(memo *memoCounts) {
+	r, ps := p.rec, p.stats
+	for i := range ps.Decisions {
+		d, dk := &r.Decisions[i], &r.K[i]
+		ps.Decisions[i] = runtime.DecisionStats{
+			Events:          int(d.Predictions),
+			SumK:            dk.SumK,
+			MaxK:            d.MaxK,
+			BacktrackEvents: int(d.Strategy[cover.StratBacktrack]),
+			SumBacktrackK:   dk.SumBacktrackK,
+			CanBacktrack:    p.class[i] == core.ClassBacktrack,
+		}
+	}
+	*ps = runtime.ParseStats{Decisions: ps.Decisions}
+	if memo != nil {
+		ps.MemoEntries, ps.MemoHits = int(memo.entries), int(memo.hits)
+		ps.MemoMisses, ps.MemoStores = int(memo.misses), int(memo.stores)
+	}
+}
+
+// flushMetrics merges the record into the registry. Empty histograms
+// and zero counts touch nothing, so no series appears before its first
+// event; the once-per-parse series of a whole parse add unconditionally
+// (zero included), creating their series on the first parse.
+func (p *Parser) flushMetrics(memo *memoCounts) {
+	r, h := p.rec, p.mx
+	add := func(dst **obs.Counter, n int64, name string, kv ...string) {
+		if n > 0 {
+			h.counter(dst, name, kv...).Add(n)
+		}
+	}
+	if r.Parses > 0 {
+		h.counter(&h.parses, "llstar_parses_total").Add(r.Parses)
+		add(&h.parseErrs, r.ParseErrors, "llstar_parse_errors_total")
+		h.counter(&h.tokens, "llstar_tokens_total").Add(r.Tokens)
+	}
+	if memo != nil {
+		h.counter(&h.memoHits, "llstar_memo_hits_total").Add(memo.hits)
+		h.counter(&h.memoMisses, "llstar_memo_misses_total").Add(memo.misses)
+		h.counter(&h.memoStores, "llstar_memo_stores_total").Add(memo.stores)
+		if h.memoEntries == nil {
+			h.memoEntries = h.mx.Gauge("llstar_memo_entries")
+		}
+		h.memoEntries.Set(memo.entries)
+	}
+
 	var byClass [3]int64
-	var all depthHist
-	for d := range r.depth {
-		dh := &r.depth[d]
-		if dh.n == 0 {
+	var depth cover.Buckets
+	var sumK, events, maxK, backtracks, resyncs, specTokens int64
+	var specs [2]int64
+	for d := range r.Decisions {
+		dc, dk := &r.Decisions[d], &r.K[d]
+		backtracks += dc.Strategy[cover.StratBacktrack]
+		resyncs += dc.Resyncs
+		specs[0] += dc.WastedSpecEvents
+		specs[1] += dc.SpecEvents - dc.WastedSpecEvents
+		specTokens += dc.SpecTokens
+		if dc.Predictions == 0 {
 			continue
 		}
-		byClass[min(int(p.class[d]), len(byClass)-1)] += dh.n
-		all.add(dh)
-		if h.decDepth[d] == nil {
-			h.decDepth[d] = mx.Histogram(obs.Label("llstar_lookahead_depth", "decision", strconv.Itoa(d)))
+		byClass[min(int(p.class[d]), len(byClass)-1)] += dc.Predictions
+		for i, c := range dk.Depth {
+			depth[i] += c
 		}
-		dh.flushTo(h.decDepth[d])
+		sumK += dk.SumK
+		events += dc.Predictions
+		maxK = max(maxK, int64(dc.MaxK))
+		if h.decDepth[d] == nil {
+			h.decDepth[d] = h.mx.Histogram(obs.Label("llstar_lookahead_depth", "decision", strconv.Itoa(d)))
+		}
+		h.decDepth[d].Merge(dk.Depth[:], dk.SumK, dc.Predictions, int64(dc.MaxK))
 	}
 	for c, n := range byClass {
 		add(&h.predict[c], n, "llstar_predict_events_total", "throttle", core.Class(c).String())
 	}
-	if all.n > 0 {
-		all.flushTo(histogram(mx, &h.depth, "llstar_lookahead_depth"))
+	if events > 0 {
+		h.histogram(&h.depth, "llstar_lookahead_depth").Merge(depth[:], sumK, events, maxK)
 	}
-	if r.spec.n > 0 {
-		r.spec.flushTo(histogram(mx, &h.specDepth, "llstar_speculation_depth"))
+	if n := specs[0] + specs[1]; n > 0 {
+		h.histogram(&h.specDepth, "llstar_speculation_depth").Merge(r.SpecDepth[:], specTokens, n, r.SpecMax)
 	}
-	n := &r.n
 	for i, res := range specResults {
-		add(&h.specs[i], n.specs[i], "llstar_speculations_total", "result", res)
-		add(&h.synpreds[i], n.synpreds[i], "llstar_synpred_evals_total", "result", res)
+		add(&h.specs[i], specs[i], "llstar_speculations_total", "result", res)
+		add(&h.synpreds[i], r.Synpreds[i], "llstar_synpred_evals_total", "result", res)
 	}
 	for i, res := range sempredResults {
-		add(&h.sempreds[i], n.sempreds[i], "llstar_sempred_evals_total", "result", res)
+		add(&h.sempreds[i], r.Sempreds[i], "llstar_sempred_evals_total", "result", res)
 	}
-	add(&h.backtracks, n.backtracks, "llstar_predict_backtrack_total")
-	add(&h.resyncs, n.resyncs, "llstar_error_resyncs_total")
-	add(&h.syntaxErrs, n.syntaxErrs, "llstar_syntax_errors_total")
-	*n = eventCounts{}
-}
-
-// flushParse records the once-per-parse series of a ParseTokens call.
-// These add unconditionally (zero included), creating their series on
-// the first parse.
-func (p *Parser) flushParse(tokens int, failed bool) {
-	mx, h := p.mx, &p.run.h
-	counter(mx, &h.parses, "llstar_parses_total").Inc()
-	if failed {
-		counter(mx, &h.parseErrs, "llstar_parse_errors_total").Inc()
-	}
-	counter(mx, &h.tokens, "llstar_tokens_total").Add(int64(tokens))
-	if p.memo != nil {
-		counter(mx, &h.memoHits, "llstar_memo_hits_total").Add(int64(p.memo.Hits()))
-		counter(mx, &h.memoMisses, "llstar_memo_misses_total").Add(int64(p.memo.Misses()))
-		counter(mx, &h.memoStores, "llstar_memo_stores_total").Add(int64(p.memo.Stores()))
-		if h.memoEntries == nil {
-			h.memoEntries = mx.Gauge("llstar_memo_entries")
-		}
-		h.memoEntries.Set(int64(p.memo.Entries()))
-	}
-}
-
-// speculated records one speculation: its result and the tokens it
-// consumed before rewinding.
-func (r *runMetrics) speculated(consumed int, ok bool) {
-	r.n.specs[b2i(ok)]++
-	r.spec.observe(consumed)
-}
-
-// b2i indexes a fail/match pair.
-func b2i(ok bool) int {
-	if ok {
-		return 1
-	}
-	return 0
+	add(&h.backtracks, backtracks, "llstar_predict_backtrack_total")
+	add(&h.resyncs, resyncs, "llstar_error_resyncs_total")
+	add(&h.syntaxErrs, r.SyntaxErrors, "llstar_syntax_errors_total")
 }

@@ -61,13 +61,13 @@ type Options struct {
 	Flight obs.Tracer
 	// Metrics, if set, accumulates runtime counters and histograms
 	// (prediction events by throttle level, lookahead-depth
-	// distributions, speculation and memo activity).
+	// distributions, speculation and memo activity), flushed from the
+	// parser's per-parse record once at parse end.
 	Metrics *obs.Metrics
 	// Coverage, if set, is the shared destination for decision-level
-	// coverage counters: the parser records into a private recorder and
-	// merges it into this profile once per parse, so pooled and
-	// concurrent parsers accumulate into one aggregate. Nil costs one
-	// pointer check per instrumentation site.
+	// coverage counters: the parser's per-parse record merges into this
+	// profile once at parse end, so pooled and concurrent parsers
+	// accumulate into one aggregate.
 	Coverage *cover.Profile
 	// Listener, if set, receives SAX-style events (rule enter/exit,
 	// committed tokens) exactly where tree nodes are (or would be)
@@ -83,8 +83,9 @@ type Options struct {
 
 // Parser interprets an analyzed grammar. A Parser is reusable: every
 // ParseString/ParseTokens call resets the per-parse state (token stream,
-// memo table, speculation depth, stats, recovered errors) before
-// running, so one instance can serve many sequential parses — lazily
+// memo table, speculation depth, recovered errors) before running, and
+// clears the per-parse record once stats, metrics and coverage have
+// read it, so one instance can serve many sequential parses — lazily
 // built approximate-LL(k) tables and the throttle cache carry over. It
 // is NOT safe for concurrent use; the analyzed core.Result it reads is
 // immutable, so any number of Parsers may share it across goroutines.
@@ -96,7 +97,6 @@ type Parser struct {
 
 	stream *runtime.TokenStream
 	memo   *runtime.MemoTable
-	stats  *runtime.ParseStats
 	spec   int // speculation nesting depth
 	ctx    runtime.Context
 
@@ -112,25 +112,24 @@ type Parser struct {
 	errors []*runtime.SyntaxError
 
 	// tr is the normalized tracer (nil when tracing is off — the hot
-	// path gates on this single nil check) and mx the metrics registry.
-	// base is the construction-time tracer AttachTracer restores when a
-	// per-parse auxiliary sink detaches.
+	// path gates on this single nil check). base is the
+	// construction-time tracer AttachTracer restores when a per-parse
+	// auxiliary sink detaches.
 	tr   obs.Tracer
 	base obs.Tracer
-	mx   *obs.Metrics
-	// run is the parse-local metrics record (nil when mx is), merged
-	// into mx once per parse.
-	run *runMetrics
-	// cov is this parser's private coverage recorder (nil when coverage
-	// is off), flushed into Options.Coverage once per parse.
-	cov *cover.Recorder
+	// rec is the one per-parse record (nil unless stats, metrics or
+	// coverage is on): each instrumentation site writes its fact there
+	// once, and endParse reads it into stats, metrics and coverage.
+	rec   *cover.Recorder
+	stats *runtime.ParseStats
+	mx    *metricHandles
 	// lsn is the SAX listener (nil when off — one nil check per site).
 	lsn runtime.ParseListener
 	// measureK enables the lookahead watermark bookkeeping in predict;
-	// set when any of stats, tracer, or metrics needs depth data.
+	// set when the record or the tracer needs depth data.
 	measureK bool
 	// class caches each decision's static class (its throttle label:
-	// "fixed", "cyclic", "backtrack"); nil unless tr or mx.
+	// "fixed", "cyclic", "backtrack"); nil unless tr or rec.
 	class []core.Class
 }
 
@@ -140,29 +139,21 @@ func New(res *core.Result, opts Options) *Parser {
 	if opts.ApproxK > 0 {
 		p.approx = make([]*llk.Tables, len(res.DFAs))
 	}
+	p.base = obs.Tee(opts.Tracer, opts.Flight)
+	p.lsn = opts.Listener
+	if opts.CollectStats || opts.Metrics != nil || opts.Coverage != nil {
+		p.buildClass()
+		meta := cover.NewMeta(res)
+		p.rec = cover.NewRecorder(&meta, p.class, opts.Coverage)
+	}
 	if opts.CollectStats {
 		p.stats = runtime.NewParseStats(len(res.DFAs))
-		for _, di := range res.Decisions {
-			if di.Class == core.ClassBacktrack {
-				p.stats.Decisions[di.Decision.ID].CanBacktrack = true
-			}
-		}
+		p.fillStats(nil)
 	}
-	p.base = obs.Tee(opts.Tracer, opts.Flight)
-	p.tr = p.base
-	p.mx = opts.Metrics
-	if p.mx != nil {
-		n := len(res.DFAs)
-		p.run = &runMetrics{depth: make([]depthHist, n), h: metricHandles{decDepth: make([]*obs.Histogram, n)}}
+	if opts.Metrics != nil {
+		p.mx = &metricHandles{mx: opts.Metrics, decDepth: make([]*obs.Histogram, len(res.DFAs))}
 	}
-	p.lsn = opts.Listener
-	if opts.Coverage != nil {
-		p.cov = opts.Coverage.NewRecorder()
-	}
-	p.measureK = p.stats != nil || p.tr != nil || p.mx != nil || p.cov != nil
-	if p.tr != nil || p.mx != nil {
-		p.buildClass()
-	}
+	p.AttachTracer(nil)
 	return p
 }
 
@@ -186,7 +177,7 @@ func (p *Parser) AttachTracer(aux obs.Tracer) {
 	if p.tr != nil && p.class == nil {
 		p.buildClass()
 	}
-	p.measureK = p.stats != nil || p.tr != nil || p.mx != nil || p.cov != nil
+	p.measureK = p.rec != nil || p.tr != nil
 }
 
 // Tracer returns the runtime tracer after normalization: nil when
@@ -195,7 +186,7 @@ func (p *Parser) AttachTracer(aux obs.Tracer) {
 func (p *Parser) Tracer() obs.Tracer { return p.tr }
 
 // Stats returns the profile of the most recent parse (nil unless
-// CollectStats was set; reset at the start of each parse).
+// CollectStats was set; filled from the record when each parse ends).
 func (p *Parser) Stats() *runtime.ParseStats { return p.stats }
 
 // Errors returns the syntax errors recovered during the last parse
@@ -217,22 +208,29 @@ func (p *Parser) report(se *runtime.SyntaxError) error {
 		return se
 	}
 	p.errors = append(p.errors, se)
+	p.noteError(se)
+	if len(p.errors) >= p.maxErrors() {
+		return se
+	}
+	return nil
+}
+
+// noteError instruments one syntax error that surfaces to the caller:
+// each recovered error, or the terminal error of a non-recovering
+// parse.
+func (p *Parser) noteError(se *runtime.SyntaxError) {
 	if p.tr != nil {
 		p.tr.Emit(obs.Event{
 			Name: "error", Cat: obs.PhaseRuntime, Ph: obs.PhInstant, TS: p.tr.Now(),
 			Decision: -1, Rule: se.Rule, Detail: se.Msg, N: int64(se.Offending.Index),
 		})
 	}
-	if p.run != nil {
-		p.run.n.syntaxErrs++
+	if p.rec != nil {
+		p.rec.SyntaxErrors++
 	}
 	if p.opts.ErrorListener != nil {
 		p.opts.ErrorListener(se)
 	}
-	if len(p.errors) >= p.maxErrors() {
-		return se
-	}
-	return nil
 }
 
 // memoEnabled reports whether memoization applies for this parse.
@@ -260,7 +258,7 @@ func (p *Parser) ParseTokens(startRule string, stream *runtime.TokenStream) (*No
 	if idx < 0 {
 		return nil, fmt.Errorf("interp: no parser rule %s", startRule)
 	}
-	defer p.flushRun()
+	defer p.endParse()
 	p.stream = stream
 	p.memo = nil
 	if p.memoEnabled() {
@@ -273,7 +271,6 @@ func (p *Parser) ParseTokens(startRule string, stream *runtime.TokenStream) (*No
 	p.deepestIdx = -1
 	p.deepestErr = nil
 	p.errors = nil
-	p.stats.Reset()
 	p.ctx = runtime.Context{Stream: stream, State: p.opts.State}
 
 	var holder *Node
@@ -291,27 +288,11 @@ func (p *Parser) ParseTokens(startRule string, stream *runtime.TokenStream) (*No
 			err = rerr
 		}
 	}
-	if p.stats != nil && p.memo != nil {
-		p.stats.MemoEntries = p.memo.Entries()
-		p.stats.MemoHits = p.memo.Hits()
-		p.stats.MemoMisses = p.memo.Misses()
-		p.stats.MemoStores = p.memo.Stores()
-	}
-	// In recover mode every syntax error was already instrumented by
-	// report; here only the terminal error of a non-recovering parse
-	// still needs an event.
-	if err != nil && !p.opts.Recover {
-		if se, ok := err.(*runtime.SyntaxError); ok {
-			if p.tr != nil {
-				p.tr.Emit(obs.Event{
-					Name: "error", Cat: obs.PhaseRuntime, Ph: obs.PhInstant, TS: p.tr.Now(),
-					Decision: -1, Rule: se.Rule, Detail: se.Msg, N: int64(se.Offending.Index),
-				})
-			}
-			if p.run != nil {
-				p.run.n.syntaxErrs++
-			}
-		}
+	// In recover mode report already instrumented every syntax error;
+	// here only the terminal error of a non-recovering parse still needs
+	// it.
+	if se, ok := err.(*runtime.SyntaxError); ok && !p.opts.Recover {
+		p.noteError(se)
 	}
 	if p.tr != nil {
 		p.tr.Emit(obs.Event{
@@ -320,18 +301,10 @@ func (p *Parser) ParseTokens(startRule string, stream *runtime.TokenStream) (*No
 			Rule: startRule, OK: err == nil, N: int64(stream.Size()),
 		})
 	}
-	if p.run != nil {
-		p.flushParse(stream.Size(), err != nil)
-	}
-	if p.cov != nil {
-		p.cov.EndParse(int64(stream.Size()), err != nil)
-		p.cov.Flush()
+	if p.rec != nil {
+		p.rec.EndParse(int64(stream.Size()), err != nil)
 	}
 	if err != nil {
-		// In recover mode every error already reached the listener.
-		if se, ok := err.(*runtime.SyntaxError); ok && p.opts.ErrorListener != nil && !p.opts.Recover {
-			p.opts.ErrorListener(se)
-		}
 		return nil, err
 	}
 	var root *Node
@@ -360,14 +333,13 @@ func (p *Parser) ParseFragment(startRule string, stream *runtime.TokenStream, me
 	if idx < 0 {
 		return nil, 0, fmt.Errorf("interp: no parser rule %s", startRule)
 	}
-	defer p.flushRun()
+	defer p.endParse()
 	p.stream = stream
 	p.memo = memo
 	p.spec = 0
 	p.deepestIdx = -1
 	p.deepestErr = nil
 	p.errors = nil
-	p.stats.Reset()
 	p.ctx = runtime.Context{Stream: stream, State: p.opts.State}
 	savedLsn := p.lsn
 	p.lsn = nil
@@ -408,15 +380,15 @@ func (p *Parser) noteFailure(err *runtime.SyntaxError) {
 // argument (parameterized rules); parent receives the rule's tree node.
 func (p *Parser) parseRule(idx, arg int, parent *Node) error {
 	r := p.res.Grammar.Rules[idx]
-	if p.cov != nil {
-		p.cov.Rule(idx)
+	if p.rec != nil {
+		p.rec.Rule(idx)
 	}
 	memoizable := p.memo != nil && p.spec > 0 && r.Args == "" && r.OptionBool("memoize", true)
 	start := p.stream.Index()
 	if memoizable {
 		stop, ok := p.memo.Get(idx, start)
-		if p.cov != nil {
-			p.cov.Memo(idx, ok)
+		if p.rec != nil {
+			p.rec.Memo(idx, ok)
 		}
 		if p.tr != nil {
 			name := "memo.miss"

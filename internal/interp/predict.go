@@ -6,6 +6,7 @@ import (
 
 	"llstar/internal/atn"
 	"llstar/internal/dfa"
+	"llstar/internal/grammar"
 	"llstar/internal/llk"
 	"llstar/internal/obs"
 )
@@ -50,17 +51,8 @@ func (p *Parser) predict(dec *atn.Decision, fr *frame) (int, error) {
 			k = wm - startIdx + 1
 		}
 		p.stream.ExtendWatermark(savedHigh)
-		if p.stats != nil {
-			btk := 0
-			if backtracked {
-				btk = k
-			}
-			p.stats.Record(dec.ID, k, backtracked, btk)
-		}
-		// Coverage shares the stats gate, so per-decision strategy counts
-		// sum to exactly ParseStats.TotalEvents().
-		if p.cov != nil {
-			p.cov.Prediction(dec.ID, alt, k, backtracked, err != nil)
+		if p.rec != nil {
+			p.rec.Prediction(dec.ID, alt, k, backtracked, err != nil)
 		}
 		if p.tr != nil {
 			p.tr.Emit(obs.Event{
@@ -71,12 +63,6 @@ func (p *Parser) predict(dec *atn.Decision, fr *frame) (int, error) {
 				Backtracked: backtracked, OK: err == nil,
 			})
 		}
-		if p.run != nil {
-			p.run.depth[dec.ID].observe(k)
-			if backtracked {
-				p.run.n.backtracks++
-			}
-		}
 	}
 	return alt, err
 }
@@ -84,8 +70,8 @@ func (p *Parser) predict(dec *atn.Decision, fr *frame) (int, error) {
 func (p *Parser) simulate(d *dfa.DFA, dec *atn.Decision, fr *frame, backtracked *bool) (int, error) {
 	s := d.Start
 	i := 0
-	if p.cov != nil {
-		p.cov.State(dec.ID, s.ID)
+	if p.rec != nil {
+		p.rec.State(dec.ID, s.ID)
 	}
 	for {
 		if s.AcceptAlt > 0 {
@@ -98,9 +84,8 @@ func (p *Parser) simulate(d *dfa.DFA, dec *atn.Decision, fr *frame, backtracked 
 		if next != nil {
 			i++
 			s = next
-			if p.cov != nil {
-				p.cov.Edge(dec.ID)
-				p.cov.State(dec.ID, s.ID)
+			if p.rec != nil {
+				p.rec.Edge(dec.ID, s.ID)
 			}
 			continue
 		}
@@ -191,31 +176,7 @@ func (p *Parser) approxPredict(dec *atn.Decision, fr *frame, backtracked *bool) 
 // backtracking): parse from its left edge to the decision's join point
 // with mutators off, then rewind.
 func (p *Parser) specAlt(dec *atn.Decision, alt int, fr *frame) bool {
-	start := p.stream.Index()
-	var t0 time.Duration
-	if p.tr != nil {
-		t0 = p.tr.Now()
-	}
-	p.spec++
-	err := p.walk(dec.AltStart[alt-1], dec.End, &frame{rule: dec.Rule, arg: fr.arg})
-	p.spec--
-	consumed := p.stream.Index() - start
-	p.stream.Seek(start)
-	if p.cov != nil {
-		p.cov.Speculation(dec.ID, consumed, p.spec+1, err == nil)
-	}
-	if p.tr != nil {
-		p.tr.Emit(obs.Event{
-			Name: "speculate.alt", Cat: obs.PhaseRuntime, Ph: obs.PhSpan,
-			TS: t0, Dur: p.tr.Now() - t0,
-			Decision: dec.ID, Rule: dec.Rule.Name, Alt: alt,
-			K: consumed, Depth: p.spec + 1, OK: err == nil,
-		})
-	}
-	if p.run != nil {
-		p.run.speculated(consumed, err == nil)
-	}
-	return err == nil
+	return p.speculate(dec, dec.AltStart[alt-1], dec.End, dec.Rule, alt, false, fr)
 }
 
 // specSynPred speculatively matches an explicit syntactic predicate
@@ -223,30 +184,37 @@ func (p *Parser) specAlt(dec *atn.Decision, alt int, fr *frame) bool {
 // speculation, for coverage attribution.
 func (p *Parser) specSynPred(id int, dec *atn.Decision, fr *frame) bool {
 	def := p.m.SynPreds[id]
-	start := p.stream.Index()
+	return p.speculate(dec, def.Start, def.Stop, def.Rule, id, true, fr)
+}
+
+// speculate walks from start to stop in rule with mutators off, rewinds,
+// and reports whether the walk matched. alt is the alternative (or, for
+// a synpred, the predicate ID) it tried for decision dec.
+func (p *Parser) speculate(dec *atn.Decision, start, stop *atn.State, rule *grammar.Rule, alt int, synpred bool, fr *frame) bool {
+	at := p.stream.Index()
 	var t0 time.Duration
 	if p.tr != nil {
 		t0 = p.tr.Now()
 	}
 	p.spec++
-	err := p.walk(def.Start, def.Stop, &frame{rule: def.Rule, arg: fr.arg})
+	err := p.walk(start, stop, &frame{rule: rule, arg: fr.arg})
 	p.spec--
-	consumed := p.stream.Index() - start
-	p.stream.Seek(start)
-	if p.cov != nil {
-		p.cov.Speculation(dec.ID, consumed, p.spec+1, err == nil)
+	consumed := p.stream.Index() - at
+	p.stream.Seek(at)
+	if p.rec != nil {
+		p.rec.Speculation(dec.ID, consumed, p.spec+1, err == nil, synpred)
 	}
 	if p.tr != nil {
+		name, decID := "speculate.alt", dec.ID
+		if synpred {
+			name, decID = "speculate.synpred", -1
+		}
 		p.tr.Emit(obs.Event{
-			Name: "speculate.synpred", Cat: obs.PhaseRuntime, Ph: obs.PhSpan,
+			Name: name, Cat: obs.PhaseRuntime, Ph: obs.PhSpan,
 			TS: t0, Dur: p.tr.Now() - t0,
-			Decision: -1, Rule: def.Rule.Name, Alt: id,
+			Decision: decID, Rule: rule.Name, Alt: alt,
 			K: consumed, Depth: p.spec + 1, OK: err == nil,
 		})
-	}
-	if p.run != nil {
-		p.run.n.synpreds[b2i(err == nil)]++
-		p.run.speculated(consumed, err == nil)
 	}
 	return err == nil
 }

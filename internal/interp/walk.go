@@ -152,11 +152,8 @@ func (p *Parser) noteResync(dec *atn.Decision, fr *frame, deleted int, ok bool) 
 			Decision: dec.ID, Rule: fr.rule.Name, OK: ok, N: int64(deleted),
 		})
 	}
-	if p.run != nil {
-		p.run.n.resyncs++
-	}
-	if p.cov != nil {
-		p.cov.Resync(dec.ID, deleted)
+	if p.rec != nil {
+		p.rec.Resync(dec.ID, deleted)
 	}
 }
 
@@ -216,15 +213,8 @@ func (p *Parser) evalSemPred(text string, fr *frame) (bool, error) {
 			OK: ok, Detail: detail,
 		})
 	}
-	if p.run != nil {
-		switch {
-		case err != nil:
-			p.run.n.sempreds[2]++
-		case !ok:
-			p.run.n.sempreds[1]++
-		default:
-			p.run.n.sempreds[0]++
-		}
+	if p.rec != nil {
+		p.rec.Sempred(ok, err)
 	}
 	return ok, err
 }

@@ -15,8 +15,6 @@ type MemoTable struct {
 	// or MemoFailed. Synpred fragments get their own rows after the
 	// parser rules.
 	byRule []map[int]int
-	hits   int
-	misses int
 	stores int
 }
 
@@ -28,18 +26,10 @@ func NewMemoTable(rows int) *MemoTable {
 // Get looks up a prior speculative parse of rule at start. ok reports
 // whether an entry exists; stop is the recorded stop index or MemoFailed.
 func (m *MemoTable) Get(rule, start int) (stop int, ok bool) {
-	if m == nil || rule < 0 || rule >= len(m.byRule) || m.byRule[rule] == nil {
-		if m != nil {
-			m.misses++
-		}
+	if m == nil || rule < 0 || rule >= len(m.byRule) {
 		return 0, false
 	}
 	stop, ok = m.byRule[rule][start]
-	if ok {
-		m.hits++
-	} else {
-		m.misses++
-	}
 	return stop, ok
 }
 
@@ -67,12 +57,6 @@ func (m *MemoTable) Entries() int {
 	}
 	return n
 }
-
-// Hits returns successful lookups.
-func (m *MemoTable) Hits() int { return m.hits }
-
-// Misses returns failed lookups.
-func (m *MemoTable) Misses() int { return m.misses }
 
 // Stores returns how many outcomes Put has recorded, including
 // overwrites of an existing (rule, start) entry — which is why Stores

@@ -39,40 +39,6 @@ func NewParseStats(n int) *ParseStats {
 	return &ParseStats{Decisions: make([]DecisionStats, n)}
 }
 
-// Reset clears all accumulated counters while preserving the static
-// CanBacktrack marks, so a pooled parser starts each parse with a clean
-// profile.
-func (ps *ParseStats) Reset() {
-	if ps == nil {
-		return
-	}
-	for i := range ps.Decisions {
-		can := ps.Decisions[i].CanBacktrack
-		ps.Decisions[i] = DecisionStats{CanBacktrack: can}
-	}
-	ps.MemoEntries = 0
-	ps.MemoHits = 0
-	ps.MemoMisses = 0
-	ps.MemoStores = 0
-}
-
-// Record logs one prediction event.
-func (ps *ParseStats) Record(decision, k int, backtracked bool, backtrackK int) {
-	if ps == nil || decision < 0 || decision >= len(ps.Decisions) {
-		return
-	}
-	d := &ps.Decisions[decision]
-	d.Events++
-	d.SumK += int64(k)
-	if k > d.MaxK {
-		d.MaxK = k
-	}
-	if backtracked {
-		d.BacktrackEvents++
-		d.SumBacktrackK += int64(backtrackK)
-	}
-}
-
 // TotalEvents sums decision events.
 func (ps *ParseStats) TotalEvents() int {
 	n := 0

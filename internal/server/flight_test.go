@@ -14,7 +14,9 @@ import (
 	"testing"
 	"time"
 
+	"llstar"
 	"llstar/internal/obs"
+	"llstar/internal/obs/flight"
 )
 
 // syncBuffer serializes concurrent slog writes (the access log and the
@@ -529,6 +531,82 @@ func TestBatchItemRequestID(t *testing.T) {
 		}
 		if r.Error == nil || r.Error.RequestID != "batch-rid" {
 			t.Errorf("failed item %d: error request_id = %+v, want batch-rid", i, r.Error)
+		}
+	}
+}
+
+// btGrammar backtracks (PEG mode) with memoization, so a parse's stats
+// carry backtracking and memo activity.
+const btGrammar = `
+grammar Bt;
+options { backtrack=true; memoize=true; }
+t : e ';' | e '!' ;
+e : INT | '-' e ;
+INT : ('0'..'9')+ ;
+WS : (' ')+ { skip(); } ;
+`
+
+// TestParseStatsMatchLibrary: the stats object of a pooled /v1/parse
+// (twice, so the second reuses a pooled parser), of a recover:true
+// parse, and of each one's flight capture all equal what llstar.Stats
+// reports for the same input.
+func TestParseStatsMatchLibrary(t *testing.T) {
+	const input = "- - - 5 !"
+	g, err := llstar.Load("bt.g", btGrammar)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := func(opts ...llstar.ParserOption) statsJSON {
+		p := g.NewParser(append(opts, llstar.WithTree(), llstar.WithStats())...)
+		if _, err := p.Parse("t", input); err != nil {
+			t.Fatal(err)
+		}
+		st := p.Stats()
+		out := statsJSON{
+			PredictEvents: st.TotalEvents(), MaxLookahead: st.MaxK(), BacktrackEvents: st.BacktrackEvents(),
+			MemoHits: st.MemoHits, MemoMisses: st.MemoMisses, MemoEntries: st.MemoEntries,
+		}
+		for _, d := range st.Decisions {
+			out.BacktrackTokens += d.SumBacktrackK
+		}
+		if out.BacktrackEvents == 0 || out.MemoHits+out.MemoMisses == 0 {
+			t.Fatalf("input exercises no backtracking or memo: %+v", out)
+		}
+		return out
+	}
+
+	s, _ := newTestServer(t, Config{Debug: true, FlightSlow: time.Nanosecond}, map[string]string{"bt": btGrammar})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	for _, recover := range []bool{false, false, true} {
+		exp := want()
+		if recover {
+			exp = want(llstar.WithRecovery(0))
+		}
+		resp, body := postJSON(t, ts.Client(), ts.URL+"/v1/parse",
+			parseRequest{Grammar: "bt", Rule: "t", Input: input, Stats: true, Recover: recover})
+		var pr parseResponse
+		if err := json.Unmarshal(body, &pr); err != nil || !pr.OK || pr.Stats == nil {
+			t.Fatalf("recover=%v: parse = %d %s", recover, resp.StatusCode, body)
+		}
+		if *pr.Stats != exp {
+			t.Errorf("recover=%v: response stats %+v, library %+v", recover, *pr.Stats, exp)
+		}
+
+		code, body := getBody(t, ts.URL+"/debug/flight/"+resp.Header.Get("X-Request-Id"))
+		var cap struct {
+			Stats flight.Stats `json:"stats"`
+		}
+		if err := json.Unmarshal(body, &cap); code != 200 || err != nil {
+			t.Fatalf("recover=%v: capture = %d %v", recover, code, err)
+		}
+		fs := flight.Stats{
+			Tokens: int64(pr.Tokens), PredictEvents: exp.PredictEvents, MaxLookahead: exp.MaxLookahead,
+			BacktrackEvents: exp.BacktrackEvents, BacktrackTokens: exp.BacktrackTokens,
+			MemoHits: exp.MemoHits, MemoMisses: exp.MemoMisses,
+		}
+		if cap.Stats != fs {
+			t.Errorf("recover=%v: capture stats %+v, library %+v", recover, cap.Stats, fs)
 		}
 	}
 }

@@ -423,21 +423,7 @@ func (g *Grammar) AnalysisProfile() []DecisionProfile {
 // across loads of the same source, so profiles from different
 // processes are directly comparable and mergeable.
 func (g *Grammar) NewCoverage() *CoverageProfile {
-	meta := cover.Meta{Grammar: g.Name()}
-	for _, r := range g.res.Grammar.Rules {
-		meta.Rules = append(meta.Rules, r.Name)
-	}
-	for _, di := range g.res.Decisions {
-		meta.Decisions = append(meta.Decisions, cover.DecisionMeta{
-			ID:        di.Decision.ID,
-			Rule:      di.Decision.Rule.Name,
-			Desc:      di.Decision.Desc,
-			Class:     di.Class.String(),
-			NAlts:     di.Decision.NAlts,
-			DFAStates: di.DFA.NumStates(),
-		})
-	}
-	return cover.NewProfile(meta)
+	return cover.NewProfile(cover.NewMeta(g.res))
 }
 
 // Summary renders a one-line analysis summary (the Table 1 row for this
@@ -542,10 +528,10 @@ func WithFlightRecorder(r *FlightRecorder) ParserOption {
 }
 
 // WithCoverage accumulates decision-level coverage and hotspot
-// counters into p (create one with Grammar.NewCoverage). The parser
-// records into a private recorder and merges once per parse, so one
-// profile may be shared across parsers, pools, and goroutines. Nil
-// disables coverage at nil-check cost.
+// counters into p (create one with Grammar.NewCoverage). The parser's
+// per-parse record merges into p once at parse end, so one profile may
+// be shared across parsers, pools, and goroutines. Nil disables
+// coverage.
 func WithCoverage(p *CoverageProfile) ParserOption {
 	return func(o *interp.Options) { o.Coverage = p }
 }
