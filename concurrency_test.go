@@ -193,3 +193,57 @@ func TestPooledParserStateIsolation(t *testing.T) {
 		t.Errorf("reused parser carries %d stale errors", n)
 	}
 }
+
+// TestConcurrentFirstLex makes the first-ever parse of a freshly loaded
+// grammar from eight goroutines at the same moment, so they race to
+// build the grammar's shared lexer DFA on first use; every tree must
+// equal the one a serial parse yields afterwards.
+func TestConcurrentFirstLex(t *testing.T) {
+	w, err := bench.ByName("RatsJava")
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, err := w.LoadFresh()
+	if err != nil {
+		t.Fatal(err)
+	}
+	input := w.Input(3, 40)
+
+	const goroutines = 8
+	trees := make([]string, goroutines)
+	errs := make([]error, goroutines)
+	parsers := make([]*llstar.Parser, goroutines)
+	for i := range parsers {
+		parsers[i] = g.NewParser(llstar.WithTree())
+	}
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for i := 0; i < goroutines; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			<-start
+			tree, err := parsers[i].Parse(w.Start, input)
+			if err != nil {
+				errs[i] = err
+				return
+			}
+			trees[i] = tree.String()
+		}(i)
+	}
+	close(start)
+	wg.Wait()
+
+	serial, err := g.NewParser(llstar.WithTree()).Parse(w.Start, input)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range trees {
+		if errs[i] != nil {
+			t.Fatalf("goroutine %d: %v", i, errs[i])
+		}
+		if trees[i] != serial.String() {
+			t.Fatalf("goroutine %d: tree differs from the serial parse", i)
+		}
+	}
+}

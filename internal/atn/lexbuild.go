@@ -3,6 +3,7 @@ package atn
 import (
 	"fmt"
 	"strings"
+	"sync"
 
 	"llstar/internal/grammar"
 	"llstar/internal/token"
@@ -25,6 +26,11 @@ type LexMachine struct {
 
 	// closures caches per-state ε-closures (computed at build time).
 	closures [][]*State
+
+	// The lexer DFA, built on the first DFA call (lexdfa.go).
+	dfaOnce sync.Once
+	dfa     *LexDFA
+	dfaErr  error
 }
 
 // Closure returns the ε-closure of a state (including itself), computed

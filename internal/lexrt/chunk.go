@@ -20,10 +20,13 @@ const chunkCompactAt = 4096
 // extend it under maximal munch — so Next reports "need more input" and
 // the unconsumed tail (including any partial UTF-8 sequence) is kept
 // until the next Feed or Finish. Given the same bytes, the token
-// sequence is identical to the batch Lexer's regardless of how the
-// input is sliced into chunks.
+// sequence is the same however the input is sliced into chunks; the
+// batch Lexer is this driver handed the whole input at once.
 type ChunkLexer struct {
-	engine
+	lm  *atn.LexMachine
+	dfa *atn.LexDFA // shared, read-only
+	err error       // the DFA build error, returned by every Next
+
 	buf      []byte  // undecoded bytes: at most one partial UTF-8 rune between Feeds
 	runes    []rune  // decoded, not-yet-consumed window
 	sizes    []uint8 // byte width of each rune in runes (actual source bytes, not re-encoded)
@@ -59,8 +62,8 @@ const UnboundedExtent = int(^uint(0) >> 2)
 // NewChunk returns a chunk-fed lexer. Feed it bytes, then call Finish
 // once the input ends.
 func NewChunk(lm *atn.LexMachine) *ChunkLexer {
-	c := &ChunkLexer{line: 1, col: 1}
-	c.engine.init(lm)
+	c := &ChunkLexer{lm: lm, line: 1, col: 1}
+	c.dfa, c.err = lm.DFA()
 	return c
 }
 
@@ -128,6 +131,9 @@ func (c *ChunkLexer) decode() {
 // the current match — feed more bytes or call Finish. After Finish,
 // Next drains the remaining tokens and then returns EOF forever.
 func (c *ChunkLexer) Next() (token.Token, bool, error) {
+	if c.err != nil {
+		return token.Token{}, false, c.err
+	}
 	for {
 		if c.pos >= len(c.runes) {
 			if !c.finished {
@@ -147,31 +153,33 @@ func (c *ChunkLexer) Next() (token.Token, bool, error) {
 	}
 }
 
-// match mirrors Lexer.match with one extra outcome: a match whose DFA
-// is still alive at the end of the buffered runes is tentative unless
-// the input is finished.
+// match runs one maximal-munch walk of the DFA from the current
+// position. A match whose DFA is still alive at the end of the buffered
+// runes is tentative (ok=false) unless the input is finished.
 func (c *ChunkLexer) match() (tok token.Token, skip, ok bool, err error) {
 	start := c.pos
 	startPos := token.Pos{Line: c.line, Col: c.col}
 	startOff := c.off
 
-	d := c.start
-	bestEnd, bestRule := -1, -1
-	if d.accept >= 0 {
-		bestEnd, bestRule = start, d.accept
+	d := c.dfa
+	s := int32(0)
+	bestEnd, bestRule := -1, int32(-1)
+	if a := d.Accept[0]; a >= 0 {
+		bestEnd, bestRule = start, a
 	}
-	scan := 0 // bytes examined by the DFA simulation
+	scan := 0 // bytes examined by the DFA walk
 	for i := start; i < len(c.runes); i++ {
 		scan += int(c.sizes[i])
-		d = c.step(d, c.runes[i])
-		if d == nil {
+		s = d.Next[int(s)*d.NumClasses+d.Class(c.runes[i])]
+		if s < 0 {
 			break
 		}
-		if d.accept >= 0 {
-			bestEnd, bestRule = i+1, d.accept
+		if a := d.Accept[s]; a >= 0 {
+			bestEnd, bestRule = i+1, a
 		}
 	}
-	if d != nil && !c.finished {
+	alive := s >= 0
+	if alive && !c.finished {
 		return token.Token{}, false, false, nil
 	}
 	if bestRule < 0 {
@@ -179,7 +187,7 @@ func (c *ChunkLexer) match() (tok token.Token, skip, ok bool, err error) {
 	}
 	if c.record {
 		extent := startOff + scan
-		if d != nil {
+		if alive {
 			// Still alive at end of input: an append could extend it.
 			extent = UnboundedExtent
 		}
@@ -208,9 +216,10 @@ func (c *ChunkLexer) advance(start, end int) {
 	c.pos = end
 }
 
-// compact drops consumed runes once enough have accumulated.
+// compact drops consumed runes once enough have accumulated. After
+// Finish nothing more is appended, so compacting would only copy.
 func (c *ChunkLexer) compact() {
-	if c.pos < chunkCompactAt {
+	if c.finished || c.pos < chunkCompactAt {
 		return
 	}
 	n := copy(c.runes, c.runes[c.pos:])

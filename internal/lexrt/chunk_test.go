@@ -10,7 +10,7 @@ import (
 	"llstar/internal/token"
 )
 
-func buildLex(t *testing.T, src string) *atn.LexMachine {
+func buildLex(t testing.TB, src string) *atn.LexMachine {
 	t.Helper()
 	g, err := meta.Parse("t.g", src)
 	if err != nil {
@@ -192,20 +192,33 @@ func TestChunkRepoGrammars(t *testing.T) {
 }
 
 // TestChunkInvalidUTF8Deterministic: invalid bytes decode the same way
-// regardless of chunking (the batch lexer is not compared here — its
-// byte-offset accounting assumes valid UTF-8).
+// regardless of chunking, and the batch lexer agrees token for token:
+// each invalid byte reads as U+FFFD but advances byte offsets by one.
 func TestChunkInvalidUTF8Deterministic(t *testing.T) {
 	lm := buildLex(t, tortureGrammar)
-	input := "ab\xffcd \xc3("
-	want, werr := chunkAll(t, lm, input, nil)
-	for cut := 0; cut <= len(input); cut++ {
-		got, err := chunkAll(t, lm, input, []int{cut})
-		if (err == nil) != (werr == nil) {
-			t.Fatalf("cut=%d: err=%v want %v", cut, err, werr)
+	for _, input := range []string{"ab\xffcd \xc3(", "ab\xffcd x"} {
+		want, werr := batchAll(t, lm, input)
+		for cut := -1; cut <= len(input); cut++ {
+			var cuts []int
+			if cut >= 0 {
+				cuts = []int{cut}
+			}
+			got, err := chunkAll(t, lm, input, cuts)
+			if (err == nil) != (werr == nil) {
+				t.Fatalf("%q cut=%d: err=%v want %v", input, cut, err, werr)
+			}
+			if !sameToks(got, want) {
+				t.Fatalf("%q cut=%d: %+v want %+v", input, cut, got, want)
+			}
 		}
-		if !sameToks(got, want) {
-			t.Fatalf("cut=%d: %+v want %+v", cut, got, want)
-		}
+	}
+	// "ab\xffcd x" is 7 bytes: x starts at byte 6, EOF at 7.
+	toks, err := batchAll(t, lm, "ab\xffcd x")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := len(toks); n != 3 || toks[0].Text != "ab\ufffdcd" || toks[1].Off != 6 || toks[2].Off != 7 {
+		t.Fatalf("offsets over an invalid byte: %+v", toks)
 	}
 }
 

@@ -177,8 +177,8 @@ A : 'x' A | 'y' ;
 }
 
 // Property: lexing the space-joined rendering of random tokens yields
-// exactly those tokens back (round-trip through the on-the-fly DFA
-// cache), for any interleaving and length.
+// exactly those tokens back (round-trip through the shared lexer DFA),
+// for any interleaving and length.
 func TestLexRoundTripProperty(t *testing.T) {
 	g, err := meta.Parse("t.g", lexGrammar)
 	if err != nil {
@@ -237,5 +237,22 @@ func TestEOFSticky(t *testing.T) {
 		if err != nil || tok.Type != token.EOF {
 			t.Fatalf("EOF not sticky: %v %v", tok, err)
 		}
+	}
+}
+
+// A lexer whose DFA would exceed the state cap fails with the build
+// error from both drivers rather than lexing: (a|b)*a(a|b){13} needs
+// 2^14 states, since the DFA must remember the last 14 characters.
+func TestLexDFAStateCap(t *testing.T) {
+	src := "grammar Big;\ns : X ;\nX : ('a'|'b')* 'a'" + strings.Repeat(" ('a'|'b')", 13) + " ;\n"
+	lm := buildLex(t, src)
+	if _, err := New(lm, "ab").NextToken(); err == nil || !strings.Contains(err.Error(), "exceeds") {
+		t.Fatalf("batch lexer: err = %v, want the state-cap error", err)
+	}
+	c := NewChunk(lm)
+	c.Feed([]byte("ab"))
+	c.Finish()
+	if _, _, err := c.Next(); err == nil || !strings.Contains(err.Error(), "exceeds") {
+		t.Fatalf("chunk lexer: err = %v, want the state-cap error", err)
 	}
 }
